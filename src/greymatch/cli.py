@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional
@@ -59,6 +60,7 @@ from .integral_matching import (
     fit_matching,
     forecast_matching,
     gamma_line_search,
+    transform_parameters,
 )
 from .metrics import evaluation_report, train_test_split
 from .simulate import (
@@ -257,8 +259,6 @@ def fit_to_json(fit: FitResult, method: str, split: Optional[int],
         doc["gamma_search"] = gamma_search
     if fit.method != METHOD_GREY_TWOSTEP and fit.params.form == REDUCED_FORM \
             and not isinstance(fit.spec.basis, PowerUnivariate):
-        from .integral_matching import transform_parameters
-
         pi = transform_parameters(fit.params, fit.spec)
         doc["transformed"] = {
             "vartheta_L": pi.vartheta_L.tolist(),
@@ -580,11 +580,7 @@ def _load_scenarios(source: str, replications: Optional[int]) -> List[ScenarioCo
         scenarios = [_scenario_from_json(entry, f"{source}[{i}]")
                      for i, entry in enumerate(doc)]
     if replications is not None:
-        scenarios = [ScenarioConfig(
-            scenario_id=s.scenario_id, spec=s.spec, truth=s.truth, T=s.T, h=s.h,
-            noise_level=s.noise_level, replications=replications, seed=s.seed,
-            n=s.n, estimators=s.estimators, grey_initial_values=s.grey_initial_values,
-        ) for s in scenarios]
+        scenarios = [replace(s, replications=replications) for s in scenarios]
     return scenarios
 
 

@@ -306,10 +306,6 @@ class ModelSpec:
     def p(self) -> int:
         return 0 if self.basis is None else self.basis.size
 
-    @property
-    def has_masks(self) -> bool:
-        return self.theta_L_mask is not None or self.theta_N_mask is not None
-
     def linear_mask(self) -> np.ndarray:
         """(d, d) free-coefficient mask for the linear block."""
         if self.theta_L_mask is None:
@@ -331,6 +327,14 @@ class ModelSpec:
         if self.include_constant:
             cols += 1
         return cols
+
+    def free_mask(self) -> np.ndarray:
+        """(d, n_regressors) free-coefficient mask in the design's column order."""
+        blocks = [self.linear_mask()] if self.include_linear else []
+        blocks.append(self.nonlinear_mask())
+        if self.include_constant:
+            blocks.append(np.ones((self.dimension, 1), dtype=bool))
+        return np.hstack(blocks)
 
 
 def verhulst_spec() -> ModelSpec:
@@ -419,8 +423,9 @@ class ParameterSet:
             eta_x = _readonly(np.atleast_1d(eta_x))
             if eta_x.shape != (d,):
                 raise ValueError("eta_x must be a d-vector")
-        for name, arr in (("theta_L", theta_L), ("theta_N", theta_N), ("eta", eta)):
-            if not np.all(np.isfinite(arr)):
+        for name, arr in (("theta_L", theta_L), ("theta_N", theta_N), ("eta", eta),
+                          ("beta", beta), ("eta_x", eta_x)):
+            if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "theta_L", theta_L)
         object.__setattr__(self, "theta_N", theta_N)

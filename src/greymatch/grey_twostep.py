@@ -90,19 +90,18 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray,
                         rank_tolerance: float = 1e-10) -> Tuple[np.ndarray, float]:
     """Minimum-residual solve of design @ coef = targets via orthogonal factorization.
 
+    One factorization yields both the solution and the singular values.
     Raises SingularDesignError when the smallest singular value falls below
     ``rank_tolerance`` times the largest, reporting the condition estimate.
     """
-    design = np.asarray(design, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    s = np.linalg.svd(design, compute_uv=False)
+    coef, _, _, s = np.linalg.lstsq(np.asarray(design, dtype=float),
+                                    np.asarray(targets, dtype=float), rcond=None)
     if s.size == 0 or s[0] == 0.0 or s[-1] / s[0] < rank_tolerance:
         condition = float("inf") if s.size == 0 or s[-1] == 0.0 else float(s[0] / s[-1])
         raise SingularDesignError(
             f"design matrix is numerically singular (condition ~ {condition:.3g})",
             condition=condition,
         )
-    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
     return coef, float(s[0] / s[-1])
 
 
@@ -202,52 +201,33 @@ def select_initial(strategy: str, ycum: CusumSeries, spec: ModelSpec,
     raise ConfigError(f"unknown initial_value_strategy {strategy!r}")
 
 
-def masked_row_solve(linear_block: Optional[np.ndarray],
-                     nonlinear_block: Optional[np.ndarray],
-                     include_constant: bool,
-                     targets: np.ndarray,
-                     linear_mask: np.ndarray,
-                     nonlinear_mask: np.ndarray):
-    """Row-by-row least squares with structurally zero coefficients dropped.
+def masked_row_solve(design: np.ndarray, targets: np.ndarray,
+                     free: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Least squares with structurally zero coefficients dropped.
 
-    Multi-target least squares decouples per output, so each output row is
-    regressed on the columns its masks leave free; masked coefficients stay
-    exactly zero.  Returns (theta_L, theta_N, beta, residuals, condition).
+    ``free`` is the (d, n_columns) mask of free coefficients per output.
+    Multi-target least squares decouples per output, so each output is
+    regressed on the design columns its row of ``free`` selects and masked
+    coefficients stay exactly zero.  A fully free design is one solve for all
+    outputs.  Otherwise each output is solved on its own, even where two rows
+    of ``free`` agree: LAPACK rounds a multi-target solve differently from
+    single-target ones.  Returns the (n_columns, d) coefficients, the
+    residuals and the largest condition estimate.
     """
-    rows, d = targets.shape
-    p = 0 if nonlinear_block is None else nonlinear_block.shape[1]
-    theta_L = np.zeros((d, d))
-    theta_N = np.zeros((d, p))
-    beta = np.zeros(d) if include_constant else None
+    d = targets.shape[1]
+    coef = np.zeros((design.shape[1], d))
     residuals = np.empty_like(targets)
     condition = 0.0
-    for i in range(d):
-        blocks = []
-        if linear_block is not None:
-            blocks.append(linear_block[:, linear_mask[i]])
-        if nonlinear_block is not None and nonlinear_mask[i].any():
-            blocks.append(nonlinear_block[:, nonlinear_mask[i]])
-        if include_constant:
-            blocks.append(np.ones((rows, 1)))
-        if not blocks:
-            raise ConfigError(f"output {i} has no free coefficients")
-        design_i = np.hstack(blocks)
-        coef_i, cond_i = least_squares_solve(design_i, targets[:, i:i + 1])
-        coef_i = coef_i[:, 0]
-        condition = max(condition, cond_i)
-        pos = 0
-        if linear_block is not None:
-            k = int(linear_mask[i].sum())
-            theta_L[i, linear_mask[i]] = coef_i[pos:pos + k]
-            pos += k
-        if nonlinear_block is not None and nonlinear_mask[i].any():
-            k = int(nonlinear_mask[i].sum())
-            theta_N[i, nonlinear_mask[i]] = coef_i[pos:pos + k]
-            pos += k
-        if include_constant:
-            beta[i] = coef_i[pos]
-        residuals[:, i] = targets[:, i] - design_i @ coef_i
-    return theta_L, theta_N, beta, residuals, condition
+    for outputs in [list(range(d))] if free.all() else [[i] for i in range(d)]:
+        columns = free[outputs[0]]
+        if not columns.any():
+            raise ConfigError(f"output {outputs[0]} has no free coefficients")
+        sub = design[:, columns]
+        coef_o, cond_o = least_squares_solve(sub, targets[:, outputs])
+        coef[np.ix_(columns, outputs)] = coef_o
+        residuals[:, outputs] = targets[:, outputs] - sub @ coef_o
+        condition = max(condition, cond_o)
+    return coef, residuals, condition
 
 
 def fit_grey(ts: TimeSeries, spec: ModelSpec,
@@ -262,20 +242,9 @@ def fit_grey(ts: TimeSeries, spec: ModelSpec,
             f"need at least {spec.dimension + spec.p + 2} samples, got {ts.n}"
         )
     ycum = cusum(ts)
-    if spec.has_masks:
-        lam = config.background_coefficient
-        y = ycum.cum_values
-        z = lam * y[:-1] + (1.0 - lam) * y[1:]
-        nonlinear = (np.vstack([evaluate_basis(spec.basis, row) for row in z])
-                     if spec.p > 0 else None)
-        theta_L, theta_N, beta, residuals, condition = masked_row_solve(
-            z if spec.include_linear else None, nonlinear, spec.include_constant,
-            ts.values[1:], spec.linear_mask(), spec.nonlinear_mask())
-    else:
-        design, targets = build_design_grey(ycum, ts, spec, config.background_coefficient)
-        coef, condition = least_squares_solve(design, targets)
-        theta_L, theta_N, beta = _unpack_structural(coef, spec)
-        residuals = targets - design @ coef
+    design, targets = build_design_grey(ycum, ts, spec, config.background_coefficient)
+    coef, residuals, condition = masked_row_solve(design, targets, spec.free_mask())
+    theta_L, theta_N, beta = _unpack_structural(coef, spec)
     if config.initial_values is not None:
         eta = np.atleast_1d(np.asarray(config.initial_values, dtype=float))
     else:

@@ -11,7 +11,7 @@ back to substituting the first observation inside the nonlinearity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,7 +35,8 @@ from .core import (
     _readonly,
     evaluate_basis,
 )
-from .grey_twostep import extend_times, least_squares_solve
+from .grey_twostep import _unpack_structural, extend_times, masked_row_solve
+from .metrics import mape, rmse, train_test_split
 from .ode import default_substeps, solve_reduced
 from .transform import trapezoid_cumulative
 
@@ -170,29 +171,16 @@ def fit_matching(ts: TimeSeries, spec: ModelSpec) -> FitResult:
         raise ConfigError(
             f"need at least {spec.dimension + spec.p + 2} samples, got {ts.n}"
         )
-    d, p = spec.dimension, spec.p
-    if spec.theta_N_mask is not None:
-        if not isinstance(spec.basis, QuadraticMultivariate):
-            raise ConfigError(
-                "nonlinear-block masks require the quadratic basis here; the "
-                "polynomial change of basis mixes nonlinear coefficients"
-            )
-        from .grey_twostep import masked_row_solve
-
-        xtil = trapezoid_cumulative(ts)[1:]
-        nonlinear = np.vstack([evaluate_basis(spec.basis, row) for row in xtil])
-        # transformed linear block and intercept are always fully free
-        vartheta_L, vartheta_N, eta, residuals, condition = masked_row_solve(
-            xtil, nonlinear, True, ts.values[1:],
-            np.ones((d, d), dtype=bool), spec.nonlinear_mask())
-        pi = TransformedParameters(vartheta_L, vartheta_N, eta)
-    else:
-        design, targets = build_design_matching(ts, spec)
-        coef, condition = least_squares_solve(design, targets)
-        pi = TransformedParameters(coef[:d].T,
-                                   coef[d:d + p].T if p > 0 else np.zeros((d, 0)),
-                                   coef[d + p])
-        residuals = targets - design @ coef
+    if spec.theta_N_mask is not None and not isinstance(spec.basis, QuadraticMultivariate):
+        raise ConfigError(
+            "nonlinear-block masks require the quadratic basis here; the "
+            "polynomial change of basis mixes nonlinear coefficients"
+        )
+    # the transformed linear block and the intercept are always fully free
+    layout = replace(spec, include_constant=True, theta_L_mask=None)
+    design, targets = build_design_matching(ts, spec)
+    coef, residuals, condition = masked_row_solve(design, targets, layout.free_mask())
+    pi = TransformedParameters(*_unpack_structural(coef, layout))
     params = recover_parameters(pi, spec)
     return FitResult(spec, params, METHOD_INTEGRAL_MATCHING, residuals, condition, ts.times)
 
@@ -225,21 +213,14 @@ def fit_matching_power(ts: TimeSeries, gamma: float, include_linear: bool = True
         columns.insert(0, xtil)
     design = np.column_stack(columns)
     targets = ts.values[1:]
-    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    s = np.linalg.svd(design, compute_uv=False)
+    coef, _, _, s = np.linalg.lstsq(design, targets, rcond=None)
     condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
-    idx = 0
-    theta_L = np.zeros((1, 1))
-    if include_linear:
-        theta_L[0, 0] = coef[idx, 0]
-        idx += 1
-    theta_N = coef[idx:idx + 1].T
-    eta = coef[idx + 1]
-    params = ParameterSet(theta_L, theta_N, eta, form=REDUCED_FORM)
-    residuals = targets - design @ coef
     if spec is None:
         spec = ModelSpec(1, PowerUnivariate(gamma), include_constant=False,
                          include_linear=include_linear)
+    theta_L, theta_N, eta = _unpack_structural(coef, replace(spec, include_constant=True))
+    params = ParameterSet(theta_L, theta_N, eta, form=REDUCED_FORM)
+    residuals = targets - design @ coef
     return FitResult(spec, params, METHOD_INTEGRAL_MATCHING_POWER, residuals,
                      condition, ts.times)
 
@@ -271,8 +252,6 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
 
     Returns the winning exponent and its (training-segment) fit.
     """
-    from .metrics import mape, rmse, train_test_split
-
     if family not in (FAMILY_INGM, FAMILY_INGBM):
         raise ConfigError(f"unknown power family {family!r}")
     include_linear = family == FAMILY_INGBM

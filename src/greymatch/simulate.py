@@ -220,7 +220,7 @@ def common_parameters(fit: FitResult) -> List[Tuple[str, float]]:
     raise ConfigError("no common parameterization for this model family")
 
 
-def _classify_failure(exc: GreyModelError) -> str:
+def _classify_failure(exc: Exception) -> str:
     if isinstance(exc, SingularDesignError):
         return STATUS_SINGULAR
     if isinstance(exc, BlowUpError):
@@ -246,7 +246,9 @@ def _run_estimator(estimator: str, noisy: TimeSeries, config: ScenarioConfig,
         if fitted.blown_up:
             raise BlowUpError("fitted trajectory blew up on the sample grid")
         fit_rmse = rmse(fitted.fitted_and_forecast, noisy.values)
-    except GreyModelError as exc:
+    except (GreyModelError, np.linalg.LinAlgError, ValueError) as exc:
+        # a numerical failure of one replication (a factorization that does
+        # not converge, a non-finite estimate) is recorded, never raised
         status = _classify_failure(exc)
         return [Record(sid, estimator, rep, "failure", float("nan"), status)]
     records = [Record(sid, estimator, rep, name, value, STATUS_OK)

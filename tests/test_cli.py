@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from greymatch import ParameterSet, REDUCED_FORM, solve_reduced, verhulst_spec
-from greymatch.cli import main, read_timeseries_csv
+from greymatch.cli import _load_scenarios, main, read_timeseries_csv
+from greymatch.simulate import ScenarioConfig
 from greymatch.datasets import SEWAGE_VALUES
 
 
@@ -207,6 +209,25 @@ class TestMcCommand:
         lines = (out / "report.csv").read_text().splitlines()
         ids = {line.split(",")[0] for line in lines[1:]}
         assert ids == {"verhulst-n11", "verhulst-n21", "verhulst-n51", "verhulst-n101"}
+
+    def test_replications_override_keeps_other_fields(self, tmp_path):
+        scenario = self.scenario_file(tmp_path, model="lv", n=41, grey_initial="true",
+                                      estimators=["grey_twostep"])
+        (original,) = _load_scenarios(scenario, None)
+        (overridden,) = _load_scenarios(scenario, 3)
+        assert overridden.replications == 3
+
+        def same(a, b):
+            if is_dataclass(a):
+                return all(same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+            if isinstance(a, np.ndarray):
+                return np.array_equal(a, b)
+            return a == b
+
+        for field in fields(ScenarioConfig):
+            if field.name != "replications":
+                assert same(getattr(original, field.name), getattr(overridden, field.name)), \
+                    field.name
 
     def test_config_error_names_key(self, tmp_path, capsys):
         scenario = self.scenario_file(tmp_path, extra_key=1)

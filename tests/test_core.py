@@ -117,9 +117,27 @@ class TestModelSpec:
         assert np.array_equal(spec.nonlinear_mask(),
                               [[False, True, False], [False, True, False]])
 
+    def test_free_mask_follows_design_columns(self):
+        # columns: y1, y2 | y1^2, y1*y2, y2^2
+        assert np.array_equal(lotka_volterra_spec().free_mask(),
+                              [[True, False, False, True, False],
+                               [False, True, False, True, False]])
+        assert np.array_equal(ModelSpec(1, None, include_constant=True).free_mask(),
+                              [[True, True]])
+        no_linear = ModelSpec(1, PowerUnivariate(0.5), include_linear=False)
+        assert np.array_equal(no_linear.free_mask(), [[True]])
+
     def test_mask_shape_validation(self):
         with pytest.raises(ValueError):
             ModelSpec(2, QuadraticMultivariate(2), theta_L_mask=[[True, False]])
+
+
+class TestParameterSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["beta", "eta_x"])
+    def test_rejects_non_finite_vectors(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ParameterSet([[1.0]], [[1.0]], [1.0], form=REDUCED_FORM, **{field: [bad]})
 
 
 class TestFormConversions:

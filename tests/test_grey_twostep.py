@@ -19,10 +19,12 @@ from greymatch import (
     fit_grey,
     forecast_grey,
     least_squares_solve,
+    lotka_volterra_truth,
     select_initial,
     solve_reduced,
     verhulst_spec,
 )
+from greymatch.grey_twostep import masked_row_solve
 
 A, B_GREY, ETA = 1.2, -0.5, 0.4
 
@@ -102,6 +104,47 @@ class TestLeastSquares:
             least_squares_solve(design, column[:, None])
         assert err.value.condition > 1e10
 
+    def test_condition_is_singular_value_ratio(self):
+        design = np.random.default_rng(6).normal(size=(25, 4))
+        _, cond = least_squares_solve(design, np.ones((25, 1)))
+        assert abs(cond - np.linalg.cond(design)) < 1e-12 * cond
+
+
+def lotka_volterra_cumulative_design():
+    spec, truth = lotka_volterra_truth()
+    times = np.arange(0.0, 5.0 + 1e-9, 0.05)
+    ts = TimeSeries(times, solve_reduced(spec, truth, times).states[:, :2])
+    design, targets = build_design_grey(cusum(ts), ts, spec, 0.5)
+    return spec, ts, design, targets
+
+
+class TestMaskedRowSolve:
+    def test_all_free_is_one_full_solve(self):
+        rng = np.random.default_rng(7)
+        design = rng.normal(size=(30, 5))
+        targets = rng.normal(size=(30, 2))
+        coef, residuals, cond = masked_row_solve(design, targets, np.ones((2, 5), dtype=bool))
+        full, full_cond = least_squares_solve(design, targets)
+        assert np.array_equal(coef, full)
+        assert np.array_equal(residuals, targets - design @ full)
+        assert cond == full_cond
+
+    def test_each_masked_output_solves_its_own_columns(self):
+        spec, _, design, targets = lotka_volterra_cumulative_design()
+        free = spec.free_mask()
+        coef, residuals, _ = masked_row_solve(design, targets, free)
+        for i in range(spec.dimension):
+            alone, *_ = np.linalg.lstsq(design[:, free[i]], targets[:, [i]], rcond=None)
+            assert np.array_equal(coef[free[i], i], alone[:, 0])
+            assert np.all(coef[~free[i], i] == 0.0)
+            assert np.array_equal(residuals[:, [i]],
+                                  targets[:, [i]] - design[:, free[i]] @ alone)
+
+    def test_output_without_free_columns_rejected(self):
+        free = np.array([[True, True], [False, False]])
+        with pytest.raises(ConfigError):
+            masked_row_solve(np.eye(3, 2), np.ones((3, 2)), free)
+
 
 class TestSelectInitial:
     def test_fix_first(self):
@@ -168,6 +211,14 @@ class TestFitGrey:
         fit = fit_grey(ts, spec)
         design, _ = build_design_grey(cusum(ts), ts, spec, 0.5)
         assert np.max(np.abs(design.T @ fit.residual_matrix)) < 1e-8
+
+    def test_masked_fit_keeps_structural_zeros(self):
+        spec, ts, _, _ = lotka_volterra_cumulative_design()
+        fit = fit_grey(ts, spec)
+        assert np.all(fit.params.theta_L[~spec.linear_mask()] == 0.0)
+        assert np.all(fit.params.theta_N[~spec.nonlinear_mask()] == 0.0)
+        assert np.all(fit.params.theta_L[spec.linear_mask()] != 0.0)
+        assert np.all(fit.params.theta_N[spec.nonlinear_mask()] != 0.0)
 
     def test_too_few_samples(self):
         ts = TimeSeries(np.arange(3.0), [1.0, 2.0, 3.0])

@@ -23,6 +23,7 @@ from greymatch import (
     verhulst_truth,
     write_report_csv,
 )
+from greymatch import simulate
 
 
 def small_config(**overrides):
@@ -138,6 +139,21 @@ class TestMonteCarlo:
         assert len(records) == 1
         assert records[0].status == "singular_design"
         assert records[0].name == "failure"
+
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("SVD did not converge"),
+                                     ValueError("beta must be finite")])
+    def test_numerical_errors_recorded_not_raised(self, monkeypatch, exc):
+        def failing_fit(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(simulate, "fit_matching", failing_fit)
+        config = small_config(replications=3)
+        report = run_monte_carlo(config)
+        failures = [r for r in report.records if r.estimator == METHOD_INTEGRAL_MATCHING]
+        assert [(r.replication, r.name, r.status) for r in failures] == \
+            [(rep, "failure", "error") for rep in range(3)]
+        assert any(r.estimator == METHOD_GREY_TWOSTEP and r.status == "ok"
+                   for r in report.records)
 
 
 class TestSummaries:
