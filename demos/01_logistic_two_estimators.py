@@ -14,8 +14,7 @@ from greymatch import (
     add_noise,
     fit_grey,
     fit_matching,
-    forecast_grey,
-    forecast_matching,
+    forecast_fit,
     generate_clean,
     rmse,
     verhulst_truth,
@@ -41,14 +40,14 @@ for label, fit in (("two-step (cumulative)", grey_fit),
     print(f"{label:>24}  {p.theta_L[0, 0]:>14.4f}  {p.theta_N[0, 0]:>14.4f}  "
           f"{p.eta[0]:>15.4f}")
 
-grey_fitted = forecast_grey(grey_fit, 0).fitted_and_forecast
-match_fitted = forecast_matching(match_fit, 0).fitted_and_forecast
+grey_fitted = forecast_fit(grey_fit, 0).fitted_and_forecast
+match_fitted = forecast_fit(match_fit, 0).fitted_and_forecast
 print(f"\nin-sample fit error (vs noisy data):")
 print(f"  two-step          {rmse(grey_fitted, noisy.values):.4f}")
 print(f"  integral matching {rmse(match_fitted, noisy.values):.4f}")
 
 horizon = 25
-match_forecast = forecast_matching(match_fit, horizon)
+match_forecast = forecast_fit(match_fit, horizon)
 print(f"\n{horizon}-step forecast tail (integral matching): "
       f"{np.round(match_forecast.fitted_and_forecast[-3:, 0], 4).tolist()}")
 print("the series decays toward zero as its running integral saturates at the")

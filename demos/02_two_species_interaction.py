@@ -17,7 +17,7 @@ from greymatch import (
     add_noise,
     fit_grey,
     fit_matching,
-    forecast_grey,
+    forecast_fit,
     generate_clean,
     lotka_volterra_truth,
     reduced_to_grey,
@@ -60,7 +60,7 @@ for label, initials in (("noisy first point", None),
     for rep in range(trials):
         draw = add_noise(clean, 0.04, (99, rep))
         fit = fit_grey(draw, spec, GreyFitConfig(initial_values=initials))
-        if forecast_grey(fit, 0).blown_up:
+        if forecast_fit(fit, 0).blown_up:
             blow_ups += 1
     print(f"  {label:>18}: {blow_ups}/{trials} trajectories blew up")
 print("\na noisy seed can push the second component negative, which escapes the")

@@ -9,7 +9,7 @@ steps of 0.01, scored by whole-series forecasting error.
 from greymatch import (
     evaluation_report,
     fit_matching,
-    forecast_matching,
+    forecast_fit,
     gamma_line_search,
     train_test_split,
     verhulst_spec,
@@ -35,7 +35,7 @@ for name in ("sewage", "water"):
         else:
             gamma, fit = gamma_line_search(ts, model, (0.0, 2.0), 0.01,
                                            split=TRAIN_SIZE)
-        forecast = forecast_matching(fit, test.n, future_times=test.times)
+        forecast = forecast_fit(fit, test.n, future_times=test.times)
         report = evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE)
         fits[model] = fit
         ref_train, ref_test = REPORTED_MAPE[name][model]
@@ -51,7 +51,7 @@ for name in ("sewage", "water"):
           f"(reported {ref['b']}), eta={best.params.eta[0]:.2f} "
           f"(reported {ref['eta']})")
 
-    projection = forecast_matching(best, test.n + 3)
+    projection = forecast_fit(best, test.n + 3)
     ours = projection.fitted_and_forecast[-3:, 0]
     print("  2019-2021 projection: "
           + ", ".join(f"{v:.2f} (reported {r})"

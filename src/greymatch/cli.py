@@ -53,16 +53,16 @@ from .datasets import (
     REPORTED_MAPE,
     TRAIN_SIZE,
 )
-from .grey_twostep import GreyFitConfig, INITIAL_STRATEGIES, fit_grey, forecast_grey
+from .grey_twostep import GreyFitConfig, INITIAL_STRATEGIES, fit_grey
 from .integral_matching import (
     FAMILY_INGBM,
     FAMILY_INGM,
     fit_matching,
-    forecast_matching,
     gamma_line_search,
     transform_parameters,
 )
 from .metrics import evaluation_report, train_test_split
+from .ode import forecast_fit
 from .simulate import (
     BUNDLED_SCENARIOS,
     KNOWN_ESTIMATORS,
@@ -289,7 +289,7 @@ def _fit_from_json(doc: dict):
 # fit command
 # ---------------------------------------------------------------------------
 
-def _resolve_spec(model: str, method: str, gamma: Optional[float]) -> ModelSpec:
+def _resolve_spec(model: str, gamma: Optional[float]) -> ModelSpec:
     if model == "igvm":
         return verhulst_spec()
     if model == "lv":
@@ -301,12 +301,8 @@ def _resolve_spec(model: str, method: str, gamma: Optional[float]) -> ModelSpec:
             raise ConfigError(f"bad polynomial degree in --model {model!r}") from exc
         return polynomial_spec(degree)
     if model == "ingm":
-        if gamma is None:
-            raise ConfigError("--model ingm needs --gamma or --gamma-search")
         return power_spec(gamma, include_constant=True, include_linear=False)
     if model == "ingbm":
-        if gamma is None:
-            raise ConfigError("--model ingbm needs --gamma or --gamma-search")
         return power_spec(gamma, include_constant=False, include_linear=True)
     raise ConfigError(f"unknown model {model!r}")
 
@@ -350,7 +346,7 @@ def cmd_fit(args) -> int:
 
     try:
         if args.method == "grey":
-            spec = _resolve_spec(args.model, args.method, args.gamma)
+            spec = _resolve_spec(args.model, args.gamma)
             grey_config = GreyFitConfig(
                 background_coefficient=args.lam,
                 initial_value_strategy=args.init_strategy or "fix_first",
@@ -362,7 +358,7 @@ def cmd_fit(args) -> int:
             gamma_star, fit = gamma_line_search(ts, family, (lo, hi), step, split=split)
             gamma_search_doc = {"range": [lo, hi], "step": step, "gamma_star": gamma_star}
         else:
-            spec = _resolve_spec(args.model, args.method, args.gamma)
+            spec = _resolve_spec(args.model, args.gamma)
             fit = fit_matching(train, spec)
     except GreyModelError as exc:
         _write_error_fit_json(out_dir, exc)
@@ -370,10 +366,7 @@ def cmd_fit(args) -> int:
 
     horizon = 0 if split is None else ts.n - split
     future = None if split is None else ts.times[split:]
-    if fit.method == METHOD_GREY_TWOSTEP:
-        forecast = forecast_grey(fit, horizon, future_times=future)
-    else:
-        forecast = forecast_matching(fit, horizon, future_times=future)
+    forecast = forecast_fit(fit, horizon, future_times=future)
     if forecast.blown_up:
         exc = BlowUpError("fitted trajectory blew up while computing fitted values")
         _write_error_fit_json(out_dir, exc)
@@ -462,10 +455,7 @@ def cmd_forecast(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.fit}: malformed fit document: {exc}") from exc
 
-    if fit.method == METHOD_GREY_TWOSTEP:
-        forecast = forecast_grey(fit, args.horizon)
-    else:
-        forecast = forecast_matching(fit, args.horizon)
+    forecast = forecast_fit(fit, args.horizon)
     if forecast.blown_up:
         raise BlowUpError(
             f"forecast trajectory blew up at index {forecast.blowup_index}; output suppressed"
@@ -637,7 +627,7 @@ def _reproduce_dataset(dataset: str):
     fits = {}
 
     fit = fit_matching(train, verhulst_spec())
-    forecast = forecast_matching(fit, test.n, future_times=test.times)
+    forecast = forecast_fit(fit, test.n, future_times=test.times)
     report = evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE)
     rows.append(("igvm", None, report.mape_train, report.mape_test))
     fits["igvm"] = fit
@@ -645,7 +635,7 @@ def _reproduce_dataset(dataset: str):
     for model, family in (("ingm", FAMILY_INGM), ("ingbm", FAMILY_INGBM)):
         gamma_star, fit = gamma_line_search(ts, family, (0.0, 2.0), 0.01,
                                             split=TRAIN_SIZE)
-        forecast = forecast_matching(fit, test.n, future_times=test.times)
+        forecast = forecast_fit(fit, test.n, future_times=test.times)
         report = evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE)
         rows.append((model, gamma_star, report.mape_train, report.mape_test))
         fits[model] = fit
@@ -702,7 +692,7 @@ def cmd_reproduce(args) -> int:
             for dataset in ("sewage", "water"):
                 _, fits = _reproduce_dataset(dataset)
                 horizon = 15 - TRAIN_SIZE + 3
-                forecast = forecast_matching(fits["ingbm"], horizon)
+                forecast = forecast_fit(fits["ingbm"], horizon)
                 ours = forecast.fitted_and_forecast[-3:, 0]
                 reported = REPORTED_FORECASTS[dataset]
                 print(f"{dataset}: 2019-2021 forecast "

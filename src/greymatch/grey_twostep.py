@@ -1,8 +1,9 @@
 """Classical two-step estimation on the cumulative series.
 
 Pipeline: cumulative sums, midpoint-discretized design matrix, least squares
-for the structural parameters, then a separate initial-value selection, and
-finally forecasting by integrating the cumulative model and differencing back.
+for the structural parameters, then a separate initial-value selection.
+Forecasting integrates the cumulative model and differences back
+(``ode.forecast_fit``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from scipy import optimize
 from .core import (
     ConfigError,
     FitResult,
-    Forecast,
     GREY_FORM,
     METHOD_GREY_TWOSTEP,
     ModelSpec,
@@ -27,13 +27,16 @@ from .core import (
     TimeSeries,
     evaluate_basis,
 )
-from .ode import default_substeps, solve_grey
+from .ode import solve_grey
 from .transform import CusumSeries, cusum
 
 FIX_FIRST = "fix_first"
 FIX_LAST = "fix_last"
 RESIDUAL_CORRECTION = "residual_correction"
 INITIAL_STRATEGIES = (FIX_FIRST, FIX_LAST, RESIDUAL_CORRECTION)
+
+#: smallest singular value, relative to the largest, of a nonsingular design
+RANK_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,6 @@ class GreyFitConfig:
 
     background_coefficient: float = 0.5
     initial_value_strategy: str = FIX_FIRST
-    substeps: Optional[int] = None
     initial_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -86,17 +88,16 @@ def build_design_grey(ycum: CusumSeries, ts: TimeSeries, spec: ModelSpec,
     return design, targets
 
 
-def least_squares_solve(design: np.ndarray, targets: np.ndarray,
-                        rank_tolerance: float = 1e-10) -> Tuple[np.ndarray, float]:
+def least_squares_solve(design: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, float]:
     """Minimum-residual solve of design @ coef = targets via orthogonal factorization.
 
     One factorization yields both the solution and the singular values.
     Raises SingularDesignError when the smallest singular value falls below
-    ``rank_tolerance`` times the largest, reporting the condition estimate.
+    ``RANK_TOLERANCE`` times the largest, reporting the condition estimate.
     """
     coef, _, _, s = np.linalg.lstsq(np.asarray(design, dtype=float),
                                     np.asarray(targets, dtype=float), rcond=None)
-    if s.size == 0 or s[0] == 0.0 or s[-1] / s[0] < rank_tolerance:
+    if s.size == 0 or s[0] == 0.0 or s[-1] / s[0] < RANK_TOLERANCE:
         condition = float("inf") if s.size == 0 or s[-1] == 0.0 else float(s[0] / s[-1])
         raise SingularDesignError(
             f"design matrix is numerically singular (condition ~ {condition:.3g})",
@@ -129,8 +130,7 @@ def _last_point_bracket(column: np.ndarray) -> Tuple[float, float]:
 
 def select_initial(strategy: str, ycum: CusumSeries, spec: ModelSpec,
                    theta_L: np.ndarray, theta_N: np.ndarray,
-                   beta: Optional[np.ndarray] = None,
-                   substeps: Optional[int] = None) -> np.ndarray:
+                   beta: Optional[np.ndarray] = None) -> np.ndarray:
     """Pick the initial value of the cumulative model given structural estimates.
 
     Strategies: fix the first cumulative sample, match the last cumulative
@@ -141,13 +141,9 @@ def select_initial(strategy: str, ycum: CusumSeries, spec: ModelSpec,
     if strategy == FIX_FIRST:
         return y[0].copy()
 
-    times = ycum.times
-    if substeps is None:
-        substeps = default_substeps(times)
-
     def trajectory(eta):
         params = ParameterSet(theta_L, theta_N, eta, beta=beta, form=GREY_FORM)
-        return solve_grey(spec, params, times, substeps)
+        return solve_grey(spec, params, ycum.times)
 
     if strategy == FIX_LAST:
         target = y[-1]
@@ -249,44 +245,7 @@ def fit_grey(ts: TimeSeries, spec: ModelSpec,
         eta = np.atleast_1d(np.asarray(config.initial_values, dtype=float))
     else:
         eta = select_initial(config.initial_value_strategy, ycum, spec,
-                             theta_L, theta_N, beta, config.substeps)
+                             theta_L, theta_N, beta)
     params = ParameterSet(theta_L, theta_N, eta, beta=beta, form=GREY_FORM)
     return FitResult(spec, params, METHOD_GREY_TWOSTEP, residuals, condition, ts.times)
 
-
-def extend_times(times: np.ndarray, horizon: int,
-                 future_times=None) -> np.ndarray:
-    """Append ``horizon`` future stamps, spaced by the mean spacing unless given."""
-    times = np.asarray(times, dtype=float)
-    if horizon < 0:
-        raise ConfigError("horizon must be >= 0")
-    if horizon == 0:
-        return times.copy()
-    if future_times is not None:
-        future = np.asarray(future_times, dtype=float)
-        if future.size != horizon:
-            raise ConfigError(f"expected {horizon} future stamps, got {future.size}")
-        grid = np.concatenate([times, future])
-        if not np.all(np.diff(grid) > 0):
-            raise ConfigError("future stamps must continue the grid strictly increasing")
-        return grid
-    mean_h = (times[-1] - times[0]) / (times.size - 1)
-    return np.concatenate([times, times[-1] + mean_h * np.arange(1, horizon + 1)])
-
-
-def forecast_grey(fit: FitResult, horizon: int,
-                  config: Optional[GreyFitConfig] = None,
-                  future_times=None) -> Forecast:
-    """Integrate the fitted cumulative model and difference back to the original scale."""
-    if config is None:
-        config = GreyFitConfig()
-    grid = extend_times(fit.times, horizon, future_times)
-    substeps = config.substeps if config.substeps is not None else default_substeps(grid)
-    traj = solve_grey(fit.spec, fit.params, grid, substeps)
-    y = traj.states
-    x = np.empty_like(y)
-    x[0] = y[0]
-    if grid.size > 1:
-        x[1:] = np.diff(y, axis=0) / np.diff(grid)[:, None]
-    return Forecast(grid, x, horizon, blown_up=traj.blown_up,
-                    blowup_index=traj.blowup_index)

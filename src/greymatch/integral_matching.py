@@ -21,7 +21,6 @@ from .core import (
     ConfigError,
     DomainError,
     FitResult,
-    Forecast,
     GreyModelError,
     METHOD_INTEGRAL_MATCHING,
     METHOD_INTEGRAL_MATCHING_POWER,
@@ -35,9 +34,9 @@ from .core import (
     _readonly,
     evaluate_basis,
 )
-from .grey_twostep import _unpack_structural, extend_times, masked_row_solve
+from .grey_twostep import _unpack_structural, masked_row_solve
 from .metrics import mape, rmse, train_test_split
-from .ode import default_substeps, solve_reduced
+from .ode import forecast_fit
 from .transform import trapezoid_cumulative
 
 FAMILY_INGM = "ingm"      # power term only, no linear term
@@ -225,19 +224,6 @@ def fit_matching_power(ts: TimeSeries, gamma: float, include_linear: bool = True
                      condition, ts.times)
 
 
-def forecast_matching(fit: FitResult, horizon: int,
-                      substeps: Optional[int] = None,
-                      future_times=None) -> Forecast:
-    """Integrate the fitted reduced system; the forecast is read off directly."""
-    grid = extend_times(fit.times, horizon, future_times)
-    if substeps is None:
-        substeps = default_substeps(grid)
-    traj = solve_reduced(fit.spec, fit.params, grid, substeps)
-    x = traj.states[:, :fit.spec.dimension]
-    return Forecast(grid, x, horizon, blown_up=traj.blown_up,
-                    blowup_index=traj.blowup_index)
-
-
 def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
                       search_range: Tuple[float, float] = (0.0, 2.0),
                       step: float = 0.01,
@@ -258,29 +244,25 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
     lo, hi = float(search_range[0]), float(search_range[1])
     if not hi > lo or step <= 0.0:
         raise ConfigError("need an increasing search range and a positive step")
-    if split is not None:
+    if split is None:
+        fit_series, horizon, future, score_of = ts, 0, None, rmse
+    else:
         if not 1 < split < ts.n:
             raise ConfigError(f"split must lie strictly inside (1, {ts.n})")
         if ts.n - split < 4:
             raise ConfigError("split must leave at least 4 test points")
-        train, test = train_test_split(ts, split)
+        fit_series, test = train_test_split(ts, split)
+        horizon, future, score_of = test.n, test.times, mape
     count = int(round((hi - lo) / step)) + 1
     best: Optional[Tuple[float, float, FitResult]] = None
     for i in range(count):
         gamma = lo + i * step
         try:
-            if split is None:
-                fit = fit_matching_power(ts, gamma, include_linear)
-                fitted = forecast_matching(fit, 0)
-                if fitted.blown_up:
-                    continue
-                score = rmse(fitted.fitted_and_forecast[:, 0], ts.values[:, 0])
-            else:
-                fit = fit_matching_power(train, gamma, include_linear)
-                forecast = forecast_matching(fit, test.n, future_times=test.times)
-                if forecast.blown_up:
-                    continue
-                score = mape(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
+            fit = fit_matching_power(fit_series, gamma, include_linear)
+            forecast = forecast_fit(fit, horizon, future_times=future)
+            if forecast.blown_up:
+                continue
+            score = score_of(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
         except GreyModelError:
             continue
         if not np.isfinite(score):

@@ -1,4 +1,5 @@
-"""Fixed-step integration of the unified model and its reduced augmented system.
+"""Fixed-step integration of the unified model and its reduced augmented system,
+and forecasting of any fit from it.
 
 The integrator is a classical 4th-order Runge-Kutta scheme with a fixed number
 of substeps per sampling interval; determinism matters more than adaptivity
@@ -17,6 +18,10 @@ import numpy as np
 
 from .core import (
     BlowUpError,
+    ConfigError,
+    FitResult,
+    Forecast,
+    GREY_FORM,
     ModelSpec,
     ParameterSet,
     REDUCED_FORM,
@@ -49,12 +54,12 @@ class Trajectory:
         object.__setattr__(self, "states", _readonly(self.states))
 
 
-def default_substeps(times, max_step: float = DEFAULT_MAX_STEP) -> int:
-    """Substeps per interval so every internal step is <= min(h_k, max_step)."""
+def default_substeps(times) -> int:
+    """Substeps per interval so every internal step is <= min(h_k, DEFAULT_MAX_STEP)."""
     h = np.diff(np.asarray(times, dtype=float))
     if h.size == 0:
         return 1
-    return max(1, int(math.ceil(float(h.max()) / max_step - 1e-12)))
+    return max(1, int(math.ceil(float(h.max()) / DEFAULT_MAX_STEP - 1e-12)))
 
 
 def _within_guard(state: np.ndarray) -> bool:
@@ -163,6 +168,48 @@ def solve_reduced(spec: ModelSpec, params: ParameterSet, times,
         substeps = default_substeps(times)
     rhs = reduced_augmented_rhs(spec, params)
     return rk4_integrate(rhs, reduced_initial_state(params), times, substeps)
+
+
+def extend_times(times: np.ndarray, horizon: int,
+                 future_times=None) -> np.ndarray:
+    """Append ``horizon`` future stamps, spaced by the mean spacing unless given."""
+    times = np.asarray(times, dtype=float)
+    if horizon < 0:
+        raise ConfigError("horizon must be >= 0")
+    if horizon == 0:
+        return times.copy()
+    if future_times is not None:
+        future = np.asarray(future_times, dtype=float)
+        if future.size != horizon:
+            raise ConfigError(f"expected {horizon} future stamps, got {future.size}")
+        grid = np.concatenate([times, future])
+        if not np.all(np.diff(grid) > 0):
+            raise ConfigError("future stamps must continue the grid strictly increasing")
+        return grid
+    mean_h = (times[-1] - times[0]) / (times.size - 1)
+    return np.concatenate([times, times[-1] + mean_h * np.arange(1, horizon + 1)])
+
+
+def forecast_fit(fit: FitResult, horizon: int, future_times=None) -> Forecast:
+    """Integrate a fit over its grid extended by ``horizon`` stamps.
+
+    Grey-form fits integrate the cumulative model and difference back to the
+    original scale; reduced-form fits integrate the augmented system and read
+    the original state off directly.
+    """
+    grid = extend_times(fit.times, horizon, future_times)
+    if fit.params.form == GREY_FORM:
+        traj = solve_grey(fit.spec, fit.params, grid)
+        y = traj.states
+        x = np.empty_like(y)
+        x[0] = y[0]
+        if grid.size > 1:
+            x[1:] = np.diff(y, axis=0) / np.diff(grid)[:, None]
+    else:
+        traj = solve_reduced(fit.spec, fit.params, grid)
+        x = traj.states[:, :fit.spec.dimension]
+    return Forecast(grid, x, horizon, blown_up=traj.blown_up,
+                    blowup_index=traj.blowup_index)
 
 
 # ---------------------------------------------------------------------------

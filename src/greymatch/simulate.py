@@ -34,10 +34,10 @@ from .core import (
     lotka_volterra_spec,
     verhulst_spec,
 )
-from .grey_twostep import GreyFitConfig, fit_grey, forecast_grey
-from .integral_matching import fit_matching, forecast_matching
+from .grey_twostep import GreyFitConfig, fit_grey
+from .integral_matching import fit_matching
 from .metrics import rmse
-from .ode import solve_reduced
+from .ode import forecast_fit, solve_reduced
 
 KNOWN_ESTIMATORS = (METHOD_GREY_TWOSTEP, METHOD_INTEGRAL_MATCHING)
 
@@ -239,10 +239,9 @@ def _run_estimator(estimator: str, noisy: TimeSeries, config: ScenarioConfig,
         if estimator == METHOD_GREY_TWOSTEP:
             grey_config = GreyFitConfig(initial_values=config.grey_initial_values)
             fit = fit_grey(noisy, config.spec, grey_config)
-            fitted = forecast_grey(fit, 0, grey_config)
         else:
             fit = fit_matching(noisy, config.spec)
-            fitted = forecast_matching(fit, 0)
+        fitted = forecast_fit(fit, 0)
         if fitted.blown_up:
             raise BlowUpError("fitted trajectory blew up on the sample grid")
         fit_rmse = rmse(fitted.fitted_and_forecast, noisy.values)
@@ -266,10 +265,6 @@ def _replication_records(config: ScenarioConfig, clean: TimeSeries,
     return records
 
 
-def _replication_worker(args) -> List[Record]:
-    return _replication_records(*args)
-
-
 def run_monte_carlo(config: ScenarioConfig, workers: int = 1) -> MonteCarloReport:
     """Run all replications of one scenario.
 
@@ -278,15 +273,13 @@ def run_monte_carlo(config: ScenarioConfig, workers: int = 1) -> MonteCarloRepor
     > 1 fans replications out to processes without changing the result.
     """
     clean = generate_clean(config)
-    reps = range(config.replications)
+    n = config.replications
     if workers > 1:
-        chunk = max(1, config.replications // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_replication_worker,
-                                    [(config, clean, rep) for rep in reps],
-                                    chunksize=chunk))
+            per_rep = list(pool.map(_replication_records, [config] * n, [clean] * n,
+                                    range(n), chunksize=max(1, n // (workers * 4))))
     else:
-        per_rep = [_replication_records(config, clean, rep) for rep in reps]
+        per_rep = [_replication_records(config, clean, rep) for rep in range(n)]
     records = tuple(record for rep_records in per_rep for record in rep_records)
     return MonteCarloReport(config, records)
 
@@ -403,15 +396,14 @@ def verhulst_noise_sweep(replications: int = 500, seed: int = 20210402) -> List[
     ]
 
 
-def lv_noise_sweep(replications: int = 500, seed: int = 20210403,
-                   true_grey_initials: bool = True) -> List[ScenarioConfig]:
+def lv_noise_sweep(replications: int = 500, seed: int = 20210403) -> List[ScenarioConfig]:
     """Two-species noise sweep at n = 501 (T = 5): levels 4, 8, 12, 16 percent.
 
-    The two-step estimator is seeded with the true initial condition by
-    default; noisy seeds make its trajectories blow up.
+    The two-step estimator is seeded with the true initial condition, because
+    noisy seeds make its trajectories blow up.
     """
     spec, truth = lotka_volterra_truth()
-    initials = tuple(truth.eta) if true_grey_initials else None
+    initials = tuple(truth.eta)
     return [
         ScenarioConfig(
             scenario_id=f"lv-noise{int(level * 100)}", spec=spec, truth=truth,
@@ -423,11 +415,14 @@ def lv_noise_sweep(replications: int = 500, seed: int = 20210403,
     ]
 
 
-def lv_n_sweep(replications: int = 500, seed: int = 20210404,
-               true_grey_initials: bool = True) -> List[ScenarioConfig]:
-    """Two-species size sweep at 4% noise: n in {21, 51, 101, 501} over [0, 5]."""
+def lv_n_sweep(replications: int = 500, seed: int = 20210404) -> List[ScenarioConfig]:
+    """Two-species size sweep at 4% noise: n in {21, 51, 101, 501} over [0, 5].
+
+    The two-step estimator is seeded with the true initial condition, as in
+    ``lv_noise_sweep``.
+    """
     spec, truth = lotka_volterra_truth()
-    initials = tuple(truth.eta) if true_grey_initials else None
+    initials = tuple(truth.eta)
     configs = []
     for i, n in enumerate((21, 51, 101, 501)):
         configs.append(ScenarioConfig(

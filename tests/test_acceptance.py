@@ -21,7 +21,7 @@ from greymatch import (
     evaluate_basis,
     evaluation_report,
     fit_matching,
-    forecast_matching,
+    forecast_fit,
     gamma_line_search,
     inverse_cusum,
     polynomial_shift_coefficients,
@@ -252,12 +252,12 @@ def sewage_fits():
     train, test = train_test_split(ts, TRAIN_SIZE)
     results = {}
     fit = fit_matching(train, verhulst_spec())
-    forecast = forecast_matching(fit, test.n, future_times=test.times)
+    forecast = forecast_fit(fit, test.n, future_times=test.times)
     results["igvm"] = (None, fit, evaluation_report(ts, forecast.fitted_and_forecast,
                                                     TRAIN_SIZE))
     for model, family in (("ingm", "ingm"), ("ingbm", "ingbm")):
         gamma, fit = gamma_line_search(ts, family, (0.0, 2.0), 0.01, split=TRAIN_SIZE)
-        forecast = forecast_matching(fit, test.n, future_times=test.times)
+        forecast = forecast_fit(fit, test.n, future_times=test.times)
         results[model] = (gamma, fit,
                           evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE))
     return results
@@ -269,12 +269,12 @@ def water_fits():
     train, test = train_test_split(ts, TRAIN_SIZE)
     results = {}
     fit = fit_matching(train, verhulst_spec())
-    forecast = forecast_matching(fit, test.n, future_times=test.times)
+    forecast = forecast_fit(fit, test.n, future_times=test.times)
     results["igvm"] = (None, fit, evaluation_report(ts, forecast.fitted_and_forecast,
                                                     TRAIN_SIZE))
     for model, family in (("ingm", "ingm"), ("ingbm", "ingbm")):
         gamma, fit = gamma_line_search(ts, family, (0.0, 2.0), 0.01, split=TRAIN_SIZE)
-        forecast = forecast_matching(fit, test.n, future_times=test.times)
+        forecast = forecast_fit(fit, test.n, future_times=test.times)
         results[model] = (gamma, fit,
                           evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE))
     return results
@@ -315,7 +315,7 @@ def test_criterion_09_three_step_forecasts(sewage_fits, water_fits):
     horizon = 15 - TRAIN_SIZE + 3
     for dataset, fits in (("sewage", sewage_fits), ("water", water_fits)):
         _, fit, _ = fits["ingbm"]
-        forecast = forecast_matching(fit, horizon)
+        forecast = forecast_fit(fit, horizon)
         ours = forecast.fitted_and_forecast[-3:, 0]
         for value, reported in zip(ours, REPORTED_FORECASTS[dataset]):
             assert abs(value - reported) / reported <= 0.01, (dataset, value, reported)

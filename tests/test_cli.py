@@ -126,6 +126,12 @@ class TestFitCommand:
         assert main(["fit", sewage_csv, "--model", "igvm", "--method", "matching",
                      "--init-strategy", "fix_last", "--out-dir", out]) == 6
 
+    @pytest.mark.parametrize("method", ["grey", "matching"])
+    @pytest.mark.parametrize("model", ["ingm", "ingbm"])
+    def test_power_model_needs_gamma_exit_6(self, sewage_csv, tmp_path, model, method):
+        assert main(["fit", sewage_csv, "--model", model, "--method", method,
+                     "--out-dir", str(tmp_path / "o6")]) == 6
+
 
 class TestForecastCommand:
     def test_round_trip(self, sewage_csv, tmp_path):

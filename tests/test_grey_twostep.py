@@ -17,7 +17,7 @@ from greymatch import (
     cusum,
     extend_times,
     fit_grey,
-    forecast_grey,
+    forecast_fit,
     least_squares_solve,
     lotka_volterra_truth,
     select_initial,
@@ -246,7 +246,7 @@ class TestForecastGrey:
     def test_zero_horizon_fitted_only(self):
         ts = clean_verhulst(h=0.05)
         fit = fit_grey(ts, verhulst_spec())
-        forecast = forecast_grey(fit, 0)
+        forecast = forecast_fit(fit, 0)
         assert forecast.times.size == ts.n
         assert forecast.horizon == 0
         assert not forecast.blown_up
@@ -257,7 +257,7 @@ class TestForecastGrey:
     def test_extends_grid_by_mean_spacing(self):
         ts = clean_verhulst(h=0.05)
         fit = fit_grey(ts, verhulst_spec())
-        forecast = forecast_grey(fit, 3)
+        forecast = forecast_fit(fit, 3)
         assert forecast.times.size == ts.n + 3
         assert np.allclose(np.diff(forecast.times[-4:]), 0.05)
 
@@ -265,7 +265,7 @@ class TestForecastGrey:
         ts = clean_verhulst(h=0.05)
         fit = fit_grey(ts, verhulst_spec())
         future = ts.times[-1] + np.array([0.1, 0.3])
-        forecast = forecast_grey(fit, 2, future_times=future)
+        forecast = forecast_fit(fit, 2, future_times=future)
         assert np.allclose(forecast.times[-2:], future)
 
     def test_extend_times_validation(self):

@@ -15,7 +15,7 @@ from greymatch import (
     evaluate_basis,
     fit_matching,
     fit_matching_power,
-    forecast_matching,
+    forecast_fit,
     gamma_line_search,
     polynomial_shift_coefficients,
     quadratic_shift_matrix,
@@ -285,7 +285,7 @@ class TestGammaSearch:
         times = np.arange(0.0, 3.0 + 1e-9, 0.1)
         ts = TimeSeries(times, 2.0 * np.exp(0.3 * times))
         gamma, fit = gamma_line_search(ts, "ingbm", (0.5, 1.5), 0.25)
-        assert not forecast_matching(fit, 0).blown_up
+        assert not forecast_fit(fit, 0).blown_up
 
     def test_validation(self):
         ts = sewage_discharge()
@@ -303,7 +303,7 @@ class TestForecastMatching:
         truth = ParameterSet([[1.2]], [[-0.5]], [0.4], form=REDUCED_FORM)
         ts = clean_series(spec, truth, h=0.05)
         fit = fit_matching(ts, spec)
-        forecast = forecast_matching(fit, 0)
+        forecast = forecast_fit(fit, 0)
         assert forecast.times.size == ts.n
         assert np.max(np.abs(forecast.fitted_and_forecast - ts.values)) < 1e-3
         # the first fitted value is the estimated initial value
@@ -314,6 +314,6 @@ class TestForecastMatching:
         truth = ParameterSet([[1.2]], [[-0.5]], [0.4], form=REDUCED_FORM)
         ts = clean_series(spec, truth, h=0.05)
         fit = fit_matching(ts, spec)
-        forecast = forecast_matching(fit, 4)
+        forecast = forecast_fit(fit, 4)
         assert forecast.times.size == ts.n + 4
         assert np.allclose(np.diff(forecast.times), 0.05)

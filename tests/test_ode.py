@@ -8,7 +8,6 @@ from greymatch import (
     ParameterSet,
     REDUCED_FORM,
     TimeSeries,
-    default_substeps,
     grey_rhs,
     grey_to_reduced,
     lotka_volterra_spec,
@@ -21,6 +20,7 @@ from greymatch import (
     verhulst_closed_form_y,
     verhulst_spec,
 )
+from greymatch.ode import default_substeps
 
 A, B, ETA = 1.2, -0.5, 0.4
 
