@@ -42,7 +42,6 @@ from .core import (
     grey_to_reduced,
     lotka_volterra_spec,
     polynomial_spec,
-    power_spec,
     reduced_to_grey,
     verhulst_spec,
 )
@@ -59,6 +58,7 @@ from .integral_matching import (
     FAMILY_INGM,
     fit_matching,
     gamma_line_search,
+    power_family_spec,
     transform_parameters,
 )
 from .metrics import evaluation_report, train_test_split
@@ -300,10 +300,8 @@ def _resolve_spec(model: str, gamma: Optional[float]) -> ModelSpec:
         except ValueError as exc:
             raise ConfigError(f"bad polynomial degree in --model {model!r}") from exc
         return polynomial_spec(degree)
-    if model == "ingm":
-        return power_spec(gamma, include_constant=True, include_linear=False)
-    if model == "ingbm":
-        return power_spec(gamma, include_constant=False, include_linear=True)
+    if model in (FAMILY_INGM, FAMILY_INGBM):
+        return power_family_spec(model, gamma)
     raise ConfigError(f"unknown model {model!r}")
 
 
@@ -354,8 +352,7 @@ def cmd_fit(args) -> int:
             fit = fit_grey(train, spec, grey_config)
         elif args.gamma_search is not None:
             lo, hi, step = _parse_gamma_search(args.gamma_search)
-            family = FAMILY_INGM if args.model == "ingm" else FAMILY_INGBM
-            gamma_star, fit = gamma_line_search(ts, family, (lo, hi), step, split=split)
+            gamma_star, fit = gamma_line_search(ts, args.model, (lo, hi), step, split=split)
             gamma_search_doc = {"range": [lo, hi], "step": step, "gamma_star": gamma_star}
         else:
             spec = _resolve_spec(args.model, args.gamma)
@@ -364,6 +361,14 @@ def cmd_fit(args) -> int:
         _write_error_fit_json(out_dir, exc)
         raise
 
+    # checked after the fit, so that a series the fit itself rejects (an
+    # all-zero one is a singular design) keeps that error and exit code
+    zero_times = ts.times[np.any(ts.values == 0.0, axis=1)]
+    if zero_times.size:
+        exc = ConfigError(f"observation at t={zero_times[0]:g} is zero; "
+                          "the percentage errors of the report are undefined there")
+        _write_error_fit_json(out_dir, exc)
+        raise exc
     horizon = 0 if split is None else ts.n - split
     future = None if split is None else ts.times[split:]
     forecast = forecast_fit(fit, horizon, future_times=future)
@@ -632,8 +637,8 @@ def _reproduce_dataset(dataset: str):
     rows.append(("igvm", None, report.mape_train, report.mape_test))
     fits["igvm"] = fit
 
-    for model, family in (("ingm", FAMILY_INGM), ("ingbm", FAMILY_INGBM)):
-        gamma_star, fit = gamma_line_search(ts, family, (0.0, 2.0), 0.01,
+    for model in (FAMILY_INGM, FAMILY_INGBM):
+        gamma_star, fit = gamma_line_search(ts, model, (0.0, 2.0), 0.01,
                                             split=TRAIN_SIZE)
         forecast = forecast_fit(fit, test.n, future_times=test.times)
         report = evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE)

@@ -107,10 +107,6 @@ class TimeSeries:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def spacings(self) -> np.ndarray:
-        """Inter-sample spacings h_k = t_k - t_{k-1} for k = 2..n (n-1 values)."""
-        return np.diff(self.times)
-
 
 # ---------------------------------------------------------------------------
 # Nonlinear bases
@@ -243,14 +239,6 @@ def evaluate_basis(basis: Optional[NonlinearBasis], y) -> np.ndarray:
     return basis.evaluate(y)
 
 
-def basis_jacobian(basis: Optional[NonlinearBasis], y) -> np.ndarray:
-    """The (p, d) Jacobian of the basis at y (0 x d for basis=None)."""
-    if basis is None:
-        return np.zeros((0, np.atleast_1d(y).size))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return basis.jacobian(y)
-
-
 # ---------------------------------------------------------------------------
 # Model specification
 # ---------------------------------------------------------------------------
@@ -318,23 +306,48 @@ class ModelSpec:
             return np.ones((self.dimension, self.p), dtype=bool)
         return np.array(self.theta_N_mask, dtype=bool)
 
-    @property
-    def n_regressors(self) -> int:
-        """Column count of the two-step design: linear + nonlinear + constant."""
-        cols = self.p
-        if self.include_linear:
-            cols += self.dimension
+    def _columns(self, linear, nonlinear, constant) -> np.ndarray:
+        # the regression column order: linear | nonlinear | constant
+        blocks = [linear] if self.include_linear else []
+        blocks.append(nonlinear)
         if self.include_constant:
-            cols += 1
-        return cols
+            blocks.append(constant)
+        return np.hstack(blocks)
 
     def free_mask(self) -> np.ndarray:
-        """(d, n_regressors) free-coefficient mask in the design's column order."""
-        blocks = [self.linear_mask()] if self.include_linear else []
-        blocks.append(self.nonlinear_mask())
-        if self.include_constant:
-            blocks.append(np.ones((self.dimension, 1), dtype=bool))
-        return np.hstack(blocks)
+        """(d, n_columns) free-coefficient mask in the design's column order."""
+        return self._columns(self.linear_mask(), self.nonlinear_mask(),
+                             np.ones((self.dimension, 1), dtype=bool))
+
+    def design(self, states: np.ndarray, nonlinear: Optional[np.ndarray] = None) -> np.ndarray:
+        """Regression design with rows [states[k], N(states[k]), 1], as flagged by the spec.
+
+        Both estimators regress x(t_k) on it and differ only in the state
+        proxy; ``nonlinear`` replaces N(states) when the caller has its own.
+        """
+        if nonlinear is None:
+            nonlinear = np.vstack([evaluate_basis(self.basis, row) for row in states])
+        return self._columns(states, nonlinear, np.ones((states.shape[0], 1)))
+
+    def unpack(self, coef: np.ndarray):
+        """Split (n_columns, d) design coefficients into theta_L, theta_N and the constant.
+
+        A dropped linear block reads as zeros and a missing constant column as None.
+        """
+        d, p = self.dimension, self.p
+        lin = d if self.include_linear else 0
+        theta_L = coef[:d].T if self.include_linear else np.zeros((d, d))
+        theta_N = coef[lin:lin + p].T
+        constant = coef[lin + p] if self.include_constant else None
+        return theta_L, theta_N, constant
+
+    def check_series(self, ts: TimeSeries) -> None:
+        """Raise ConfigError unless ``ts`` has d columns and at least d + p + 2 samples."""
+        if ts.d != self.dimension:
+            raise ConfigError(f"series has {ts.d} variables, spec expects {self.dimension}")
+        need = self.dimension + self.p + 2
+        if ts.n < need:
+            raise ConfigError(f"need at least {need} samples, got {ts.n}")
 
 
 def verhulst_spec() -> ModelSpec:

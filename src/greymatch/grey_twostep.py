@@ -25,7 +25,6 @@ from .core import (
     RootSearchError,
     SingularDesignError,
     TimeSeries,
-    evaluate_basis,
 )
 from .ode import solve_grey
 from .transform import CusumSeries, cusum
@@ -68,24 +67,14 @@ def build_design_grey(ycum: CusumSeries, ts: TimeSeries, spec: ModelSpec,
                       background_coefficient: float = 0.5) -> Tuple[np.ndarray, np.ndarray]:
     """Design and target matrices of the midpoint-discretized cumulative model.
 
-    Row k-1 of the design holds [z(t_k), N(z(t_k)), 1] (linear block only when
-    the spec includes it, constant column only when the spec has one), and the
-    matching target row is the observation x(t_k), for k = 2..n.
+    The state proxy is the background value z(t_k): row k-1 of the design is
+    ``spec.design`` at z(t_k), and the matching target row is the observation
+    x(t_k), for k = 2..n.
     """
     lam = background_coefficient
     y = ycum.cum_values
     z = lam * y[:-1] + (1.0 - lam) * y[1:]
-    rows = z.shape[0]
-    blocks = []
-    if spec.include_linear:
-        blocks.append(z)
-    if spec.p > 0:
-        blocks.append(np.vstack([evaluate_basis(spec.basis, z[k]) for k in range(rows)]))
-    if spec.include_constant:
-        blocks.append(np.ones((rows, 1)))
-    design = np.hstack(blocks)
-    targets = ts.values[1:]
-    return design, targets
+    return spec.design(z), ts.values[1:]
 
 
 def least_squares_solve(design: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -104,20 +93,6 @@ def least_squares_solve(design: np.ndarray, targets: np.ndarray) -> Tuple[np.nda
             condition=condition,
         )
     return coef, float(s[0] / s[-1])
-
-
-def _unpack_structural(coef: np.ndarray, spec: ModelSpec):
-    d, p = spec.dimension, spec.p
-    row = 0
-    if spec.include_linear:
-        theta_L = coef[row:row + d].T
-        row += d
-    else:
-        theta_L = np.zeros((d, d))
-    theta_N = coef[row:row + p].T if p > 0 else np.zeros((d, 0))
-    row += p
-    beta = coef[row] if spec.include_constant else None
-    return theta_L, theta_N, beta
 
 
 def _last_point_bracket(column: np.ndarray) -> Tuple[float, float]:
@@ -231,16 +206,11 @@ def fit_grey(ts: TimeSeries, spec: ModelSpec,
     """Two-step fit: least squares on the cumulative design, then initial value."""
     if config is None:
         config = GreyFitConfig()
-    if ts.d != spec.dimension:
-        raise ConfigError(f"series has {ts.d} variables, spec expects {spec.dimension}")
-    if ts.n < spec.dimension + spec.p + 2:
-        raise ConfigError(
-            f"need at least {spec.dimension + spec.p + 2} samples, got {ts.n}"
-        )
+    spec.check_series(ts)
     ycum = cusum(ts)
     design, targets = build_design_grey(ycum, ts, spec, config.background_coefficient)
     coef, residuals, condition = masked_row_solve(design, targets, spec.free_mask())
-    theta_L, theta_N, beta = _unpack_structural(coef, spec)
+    theta_L, theta_N, beta = spec.unpack(coef)
     if config.initial_values is not None:
         eta = np.atleast_1d(np.asarray(config.initial_values, dtype=float))
     else:

@@ -32,15 +32,27 @@ from .core import (
     REDUCED_FORM,
     TimeSeries,
     _readonly,
-    evaluate_basis,
+    power_spec,
 )
-from .grey_twostep import _unpack_structural, masked_row_solve
+from .grey_twostep import masked_row_solve
 from .metrics import mape, rmse, train_test_split
 from .ode import forecast_fit
 from .transform import trapezoid_cumulative
 
 FAMILY_INGM = "ingm"      # power term only, no linear term
 FAMILY_INGBM = "ingbm"    # linear plus power term
+
+
+def power_family_spec(family: str, gamma: float) -> ModelSpec:
+    """Spec of a named power family at exponent ``gamma``.
+
+    INGM is dy/dt = b y^gamma + beta (no linear term, with a constant) and
+    INGBM is dy/dt = a y + b y^gamma.
+    """
+    if family not in (FAMILY_INGM, FAMILY_INGBM):
+        raise ConfigError(f"unknown power family {family!r}")
+    ingm = family == FAMILY_INGM
+    return power_spec(gamma, include_constant=ingm, include_linear=not ingm)
 
 
 @dataclass(frozen=True)
@@ -57,15 +69,19 @@ class TransformedParameters:
         object.__setattr__(self, "intercept", _readonly(np.atleast_1d(self.intercept)))
 
 
+def _matching_layout(spec: ModelSpec) -> ModelSpec:
+    # the intercept column estimates eta, and the transformed linear block
+    # mixes all components through it, so both are always fully free
+    return replace(spec, include_constant=True, theta_L_mask=None)
+
+
 def build_design_matching(ts: TimeSeries, spec: ModelSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Design [x~(t_k), N(x~(t_k)), 1] and targets x(t_k) for k = 2..n."""
-    xtil = trapezoid_cumulative(ts)[1:]
-    rows = xtil.shape[0]
-    blocks = [xtil]
-    if spec.p > 0:
-        blocks.append(np.vstack([evaluate_basis(spec.basis, xtil[k]) for k in range(rows)]))
-    blocks.append(np.ones((rows, 1)))
-    return np.hstack(blocks), ts.values[1:]
+    """Design [x~(t_k), N(x~(t_k)), 1] and targets x(t_k) for k = 2..n.
+
+    The state proxy is the trapezoid integral x~(t_k), laid out by
+    ``spec.design`` with the intercept column always present.
+    """
+    return _matching_layout(spec).design(trapezoid_cumulative(ts)[1:]), ts.values[1:]
 
 
 def polynomial_shift_coefficients(eta: float, p: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -160,32 +176,24 @@ def fit_matching(ts: TimeSeries, spec: ModelSpec) -> FitResult:
     recovered up to noise.
     """
     if isinstance(spec.basis, PowerUnivariate):
-        return fit_matching_power(ts, spec.basis.gamma,
-                                  include_linear=spec.include_linear, spec=spec)
+        return fit_matching_power(ts, spec)
     if not spec.include_linear:
         raise ConfigError("dropping the linear term is supported for the power family only")
-    if ts.d != spec.dimension:
-        raise ConfigError(f"series has {ts.d} variables, spec expects {spec.dimension}")
-    if ts.n < spec.dimension + spec.p + 2:
-        raise ConfigError(
-            f"need at least {spec.dimension + spec.p + 2} samples, got {ts.n}"
-        )
+    spec.check_series(ts)
     if spec.theta_N_mask is not None and not isinstance(spec.basis, QuadraticMultivariate):
         raise ConfigError(
             "nonlinear-block masks require the quadratic basis here; the "
             "polynomial change of basis mixes nonlinear coefficients"
         )
-    # the transformed linear block and the intercept are always fully free
-    layout = replace(spec, include_constant=True, theta_L_mask=None)
+    layout = _matching_layout(spec)
     design, targets = build_design_matching(ts, spec)
     coef, residuals, condition = masked_row_solve(design, targets, layout.free_mask())
-    pi = TransformedParameters(*_unpack_structural(coef, layout))
+    pi = TransformedParameters(*layout.unpack(coef))
     params = recover_parameters(pi, spec)
     return FitResult(spec, params, METHOD_INTEGRAL_MATCHING, residuals, condition, ts.times)
 
 
-def fit_matching_power(ts: TimeSeries, gamma: float, include_linear: bool = True,
-                       spec: Optional[ModelSpec] = None) -> FitResult:
+def fit_matching_power(ts: TimeSeries, spec: ModelSpec) -> FitResult:
     """Power-family fit with the first observation substituted inside N(.).
 
     Regresses x(t_k) on [x~(t_k), N(x(t1) + x~(t_k)) - N(x(t1)), 1] (dropping
@@ -194,30 +202,23 @@ def fit_matching_power(ts: TimeSeries, gamma: float, include_linear: bool = True
     linear one and at gamma = 0 it vanishes, in which case the minimum-norm
     solution splits or zeroes the coefficients instead of failing.
     """
-    if ts.d != 1:
-        raise ConfigError("the power fallback is defined for scalar series")
-    if ts.n < 4:
-        raise ConfigError(f"need at least 4 samples, got {ts.n}")
+    if not isinstance(spec.basis, PowerUnivariate):
+        raise ConfigError("the power fallback needs a power-basis spec")
+    spec.check_series(ts)
+    gamma = spec.basis.gamma
     x1 = float(ts.values[0, 0])
-    xtil = trapezoid_cumulative(ts)[1:, 0]
+    xtil = trapezoid_cumulative(ts)[1:]
     shifted = x1 + xtil
-    integral_gamma = float(gamma).is_integer()
-    if not integral_gamma and (x1 <= 0.0 or np.any(shifted <= 0.0)):
+    if not float(gamma).is_integer() and (x1 <= 0.0 or np.any(shifted <= 0.0)):
         raise DomainError(
             f"power basis with gamma={gamma} needs x(t1) + x~ > 0 everywhere"
         )
-    ncol = shifted ** gamma - x1 ** gamma
-    columns = [ncol, np.ones_like(ncol)]
-    if include_linear:
-        columns.insert(0, xtil)
-    design = np.column_stack(columns)
+    layout = _matching_layout(spec)
+    design = layout.design(xtil, shifted ** gamma - x1 ** gamma)
     targets = ts.values[1:]
     coef, _, _, s = np.linalg.lstsq(design, targets, rcond=None)
     condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
-    if spec is None:
-        spec = ModelSpec(1, PowerUnivariate(gamma), include_constant=False,
-                         include_linear=include_linear)
-    theta_L, theta_N, eta = _unpack_structural(coef, replace(spec, include_constant=True))
+    theta_L, theta_N, eta = layout.unpack(coef)
     params = ParameterSet(theta_L, theta_N, eta, form=REDUCED_FORM)
     residuals = targets - design @ coef
     return FitResult(spec, params, METHOD_INTEGRAL_MATCHING_POWER, residuals,
@@ -238,9 +239,6 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
 
     Returns the winning exponent and its (training-segment) fit.
     """
-    if family not in (FAMILY_INGM, FAMILY_INGBM):
-        raise ConfigError(f"unknown power family {family!r}")
-    include_linear = family == FAMILY_INGBM
     lo, hi = float(search_range[0]), float(search_range[1])
     if not hi > lo or step <= 0.0:
         raise ConfigError("need an increasing search range and a positive step")
@@ -253,12 +251,15 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
             raise ConfigError("split must leave at least 4 test points")
         fit_series, test = train_test_split(ts, split)
         horizon, future, score_of = test.n, test.times, mape
+    # the loop skips failing candidates, so reject an unknown family or an
+    # unusable series here, where the error can still say what is wrong
+    power_family_spec(family, lo).check_series(fit_series)
     count = int(round((hi - lo) / step)) + 1
     best: Optional[Tuple[float, float, FitResult]] = None
     for i in range(count):
         gamma = lo + i * step
         try:
-            fit = fit_matching_power(fit_series, gamma, include_linear)
+            fit = fit_matching_power(fit_series, power_family_spec(family, gamma))
             forecast = forecast_fit(fit, horizon, future_times=future)
             if forecast.blown_up:
                 continue

@@ -27,6 +27,7 @@ from .core import (
     REDUCED_FORM,
     _readonly,
 )
+from .transform import difference_cumulative
 
 OVERFLOW_GUARD = 1e12
 
@@ -63,7 +64,8 @@ def default_substeps(times) -> int:
 
 
 def _within_guard(state: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(state)) and np.max(np.abs(state)) < OVERFLOW_GUARD)
+    # NaN and +-inf fail the comparison, so this also rejects non-finite states
+    return bool(np.max(np.abs(state)) < OVERFLOW_GUARD)
 
 
 def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajectory:
@@ -200,11 +202,7 @@ def forecast_fit(fit: FitResult, horizon: int, future_times=None) -> Forecast:
     grid = extend_times(fit.times, horizon, future_times)
     if fit.params.form == GREY_FORM:
         traj = solve_grey(fit.spec, fit.params, grid)
-        y = traj.states
-        x = np.empty_like(y)
-        x[0] = y[0]
-        if grid.size > 1:
-            x[1:] = np.diff(y, axis=0) / np.diff(grid)[:, None]
+        x = difference_cumulative(grid, traj.states)
     else:
         traj = solve_reduced(fit.spec, fit.params, grid)
         x = traj.states[:, :fit.spec.dimension]

@@ -39,15 +39,18 @@ def cusum(ts: TimeSeries) -> CusumSeries:
     return CusumSeries(ts.times, np.cumsum(h[:, None] * ts.values, axis=0))
 
 
+def difference_cumulative(times: np.ndarray, cum_values: np.ndarray) -> np.ndarray:
+    """``inverse_cusum`` on plain arrays; NaN rows of a blown-up trajectory pass through."""
+    x = np.empty_like(cum_values)
+    x[0] = cum_values[0]
+    if times.size > 1:
+        x[1:] = np.diff(cum_values, axis=0) / np.diff(times)[:, None]
+    return x
+
+
 def inverse_cusum(ycum: CusumSeries) -> TimeSeries:
     """Recover the original series: x(t1) = y(t1), x(t_k) = (y(t_k) - y(t_{k-1})) / h_k."""
-    y = ycum.cum_values
-    x = np.empty_like(y)
-    x[0] = y[0]
-    if ycum.n > 1:
-        h = np.diff(ycum.times)
-        x[1:] = np.diff(y, axis=0) / h[:, None]
-    return TimeSeries(ycum.times, x)
+    return TimeSeries(ycum.times, difference_cumulative(ycum.times, ycum.cum_values))
 
 
 def trapezoid_cumulative(ts: TimeSeries) -> np.ndarray:

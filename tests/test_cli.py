@@ -127,6 +127,29 @@ class TestFitCommand:
                      "--init-strategy", "fix_last", "--out-dir", out]) == 6
 
     @pytest.mark.parametrize("method", ["grey", "matching"])
+    def test_zero_observation_exit_6(self, tmp_path, capsys, method):
+        path = tmp_path / "zero.csv"
+        write_csv(path, range(1, 8), [0.0, 1.5, 2.1, 2.9, 3.6, 4.4, 5.0])
+        out = tmp_path / "o6"
+        assert main(["fit", str(path), "--model", "igvm", "--method", method,
+                     "--out-dir", str(out)]) == 6
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads((out / "fit.json").read_text())["error"]["exit_code"] == 6
+
+    @pytest.mark.parametrize("model", ["ingm", "ingbm"])
+    def test_gamma_and_gamma_search_write_one_spec(self, sewage_csv, tmp_path, model):
+        search, single = tmp_path / "search", tmp_path / "single"
+        assert main(["fit", sewage_csv, "--model", model, "--gamma-search", "0.5,0.6,0.1",
+                     "--out-dir", str(search)]) == 0
+        searched = json.loads((search / "fit.json").read_text())
+        gamma = searched["gamma_search"]["gamma_star"]
+        assert main(["fit", sewage_csv, "--model", model, "--gamma", repr(gamma),
+                     "--out-dir", str(single)]) == 0
+        fitted = json.loads((single / "fit.json").read_text())
+        assert fitted["spec"] == searched["spec"]
+        assert fitted["reduced"] == searched["reduced"]
+
+    @pytest.mark.parametrize("method", ["grey", "matching"])
     @pytest.mark.parametrize("model", ["ingm", "ingbm"])
     def test_power_model_needs_gamma_exit_6(self, sewage_csv, tmp_path, model, method):
         assert main(["fit", sewage_csv, "--model", model, "--method", method,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from greymatch import (
+    ConfigError,
     DomainError,
     GREY_FORM,
     ModelSpec,
@@ -12,20 +13,22 @@ from greymatch import (
     REDUCED_FORM,
     TimeSeries,
     evaluate_basis,
+    fit_grey,
+    fit_matching,
+    fit_matching_power,
     grey_to_reduced,
     lotka_volterra_spec,
     polynomial_spec,
+    power_spec,
     reduced_to_grey,
     verhulst_spec,
 )
-from greymatch.core import basis_jacobian
 
 
 class TestTimeSeries:
     def test_basic_shape(self):
         ts = TimeSeries([0.0, 1.0, 2.0], [[1.0], [2.0], [3.0]])
         assert ts.n == 3 and ts.d == 1
-        assert np.allclose(ts.spacings(), [1.0, 1.0])
 
     def test_one_dimensional_values_promoted(self):
         ts = TimeSeries([0, 1, 2], [1, 2, 3])
@@ -92,7 +95,7 @@ class TestBases:
     ])
     def test_jacobian_matches_finite_differences(self, basis, point):
         y = np.asarray(point, dtype=float)
-        jac = basis_jacobian(basis, y)
+        jac = basis.jacobian(y)
         eps = 1e-7
         for j in range(y.size):
             bumped = y.copy()
@@ -105,11 +108,6 @@ class TestModelSpec:
     def test_dimension_consistency(self):
         with pytest.raises(ValueError):
             ModelSpec(2, PolynomialUnivariate(2))
-
-    def test_regressor_count(self):
-        assert verhulst_spec().n_regressors == 2
-        assert polynomial_spec(3, include_constant=True).n_regressors == 4
-        assert ModelSpec(1, None, include_constant=True).n_regressors == 2
 
     def test_lv_spec_masks(self):
         spec = lotka_volterra_spec()
@@ -126,6 +124,20 @@ class TestModelSpec:
                               [[True, True]])
         no_linear = ModelSpec(1, PowerUnivariate(0.5), include_linear=False)
         assert np.array_equal(no_linear.free_mask(), [[True]])
+
+    @pytest.mark.parametrize("fit,spec", [
+        (fit_grey, verhulst_spec()),
+        (fit_matching, verhulst_spec()),
+        (fit_matching_power, power_spec(0.5)),
+    ], ids=["grey", "matching", "matching_power"])
+    def test_fits_check_the_series(self, fit, spec):
+        times = np.arange(float(spec.dimension + spec.p + 2))
+        values = 1.0 + times
+        fit(TimeSeries(times, values), spec)
+        with pytest.raises(ConfigError):
+            fit(TimeSeries(times[:-1], values[:-1]), spec)
+        with pytest.raises(ConfigError):
+            fit(TimeSeries(times, np.column_stack([values, values])), spec)
 
     def test_mask_shape_validation(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from greymatch import (
     quadratic_shift_matrix,
     lotka_volterra_spec,
     polynomial_spec,
+    power_spec,
     quadratic_spec,
     recover_parameters,
     solve_reduced,
@@ -229,7 +230,7 @@ class TestPowerFallback:
         truth = ParameterSet([[1.2]], [[-0.5]], [0.4], form=REDUCED_FORM)
         ts = clean_series(spec, truth, h=0.01)
         exact = fit_matching(ts, spec)
-        fallback = fit_matching_power(ts, 2.0)
+        fallback = fit_matching_power(ts, power_spec(2.0))
         assert abs(fallback.params.theta_L[0, 0] - exact.params.theta_L[0, 0]) \
             / abs(exact.params.theta_L[0, 0]) < 0.02
         assert abs(fallback.params.theta_N[0, 0] - exact.params.theta_N[0, 0]) \
@@ -240,7 +241,7 @@ class TestPowerFallback:
         rate = 0.3
         times = np.arange(0.0, 3.0 + 1e-9, 0.05)
         ts = TimeSeries(times, 2.0 * np.exp(rate * times))
-        fit = fit_matching_power(ts, 1.0)
+        fit = fit_matching_power(ts, power_spec(1.0))
         # duplicated columns: only a + b is identified, minimum norm splits it
         a, b = fit.params.theta_L[0, 0], fit.params.theta_N[0, 0]
         assert abs((a + b) - rate) < 0.01
@@ -249,17 +250,20 @@ class TestPowerFallback:
     def test_gamma0_zeroes_power_column(self):
         times = np.arange(0.0, 3.0 + 1e-9, 0.05)
         ts = TimeSeries(times, 2.0 * np.exp(0.3 * times))
-        fit = fit_matching_power(ts, 0.0)
+        fit = fit_matching_power(ts, power_spec(0.0))
         assert fit.params.theta_N[0, 0] == 0.0
 
     def test_domain_error_on_nonpositive(self):
         ts = TimeSeries(np.arange(5.0), [-1.0, 2.0, 3.0, 4.0, 5.0])
         with pytest.raises(DomainError):
-            fit_matching_power(ts, 0.5)
+            fit_matching_power(ts, power_spec(0.5))
+
+    def test_rejects_non_power_spec(self):
+        ts = TimeSeries(np.arange(5.0), [1.0, 2.0, 3.0, 4.0, 5.0])
+        with pytest.raises(ConfigError):
+            fit_matching_power(ts, verhulst_spec())
 
     def test_power_spec_routes_through_fit_matching(self):
-        from greymatch import power_spec
-
         times = np.arange(0.0, 3.0 + 1e-9, 0.1)
         ts = TimeSeries(times, 2.0 * np.exp(0.3 * times))
         fit = fit_matching(ts, power_spec(1.5))
@@ -295,6 +299,13 @@ class TestGammaSearch:
             gamma_line_search(ts, "ingbm", (1.0, 0.0), 0.01)
         with pytest.raises(ConfigError):
             gamma_line_search(ts, "ingbm", split=13)  # only 2 test points
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], np.ones((6, 2))],
+                             ids=["too_short", "two_columns"])
+    def test_unusable_series_is_a_config_error(self, values):
+        ts = TimeSeries(np.arange(float(len(values))), values)
+        with pytest.raises(ConfigError, match="samples|variables"):
+            gamma_line_search(ts, "ingbm", (0.5, 1.5), 0.5)
 
 
 class TestForecastMatching:

@@ -76,8 +76,15 @@ class TestRK4:
         assert np.all(np.isfinite(traj.states[:traj.blowup_index]))
 
     def test_non_finite_initial_state(self):
-        traj = rk4_integrate(lambda t, y: y, [np.inf], np.arange(3.0), 1)
-        assert traj.blown_up and traj.blowup_index == 0
+        for start in (np.inf, -np.inf, np.nan):
+            traj = rk4_integrate(lambda t, y: y, [start], np.arange(3.0), 1)
+            assert traj.blown_up and traj.blowup_index == 0
+            assert np.all(np.isnan(traj.states))
+        # a right-hand side that turns NaN after t = 1 is flagged at that interval
+        traj = rk4_integrate(lambda t, y: y * np.nan if t > 1.0 else y,
+                             [1.0], np.arange(4.0), 2)
+        assert traj.blown_up and traj.blowup_index == 2
+        assert np.all(np.isfinite(traj.states[:2])) and np.all(np.isnan(traj.states[2:]))
 
 
 class TestVectorFields:

@@ -1,6 +1,7 @@
 import numpy as np
 
 from greymatch import TimeSeries, cusum, inverse_cusum, trapezoid_cumulative
+from greymatch.transform import difference_cumulative
 
 
 def test_cusum_unit_spacing_running_sum():
@@ -30,6 +31,13 @@ def test_inverse_cusum_constant_cumulative():
     ycum = CusumSeries(np.arange(4.0), np.full((4, 1), 2.5))
     x = inverse_cusum(ycum).values[:, 0]
     assert np.allclose(x, [2.5, 0.0, 0.0, 0.0])
+
+
+def test_difference_cumulative_passes_nan_rows():
+    y = np.array([[1.0], [3.0], [np.nan], [np.nan]])
+    x = difference_cumulative(np.array([0.0, 0.5, 1.0, 1.5]), y)
+    assert np.array_equal(x[:2, 0], [1.0, 4.0])
+    assert np.all(np.isnan(x[2:]))
 
 
 def test_round_trip_random_nonuniform():
