@@ -341,6 +341,15 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"--split must lie strictly between 1 and {ts.n}")
     train = ts if split is None else train_test_split(ts, split)[0]
     gamma_search_doc = None
+    zero_times = ts.times[np.any(ts.values == 0.0, axis=1)]
+    zero_error = None if zero_times.size == 0 else ConfigError(
+        f"observation at t={zero_times[0]:g} is zero; "
+        "the percentage errors of the report are undefined there")
+    # rejected before the fit, except an all-zero series: the fit rejects
+    # that one itself (a singular design) and keeps its error and exit code
+    if zero_error is not None and np.any(ts.values != 0.0):
+        _write_error_fit_json(out_dir, zero_error)
+        raise zero_error
 
     try:
         if args.method == "grey":
@@ -361,14 +370,9 @@ def cmd_fit(args) -> int:
         _write_error_fit_json(out_dir, exc)
         raise
 
-    # checked after the fit, so that a series the fit itself rejects (an
-    # all-zero one is a singular design) keeps that error and exit code
-    zero_times = ts.times[np.any(ts.values == 0.0, axis=1)]
-    if zero_times.size:
-        exc = ConfigError(f"observation at t={zero_times[0]:g} is zero; "
-                          "the percentage errors of the report are undefined there")
-        _write_error_fit_json(out_dir, exc)
-        raise exc
+    if zero_error is not None:
+        _write_error_fit_json(out_dir, zero_error)
+        raise zero_error
     horizon = 0 if split is None else ts.n - split
     future = None if split is None else ts.times[split:]
     forecast = forecast_fit(fit, horizon, future_times=future)

@@ -36,7 +36,7 @@ from .core import (
 )
 from .grey_twostep import masked_row_solve
 from .metrics import mape, rmse, train_test_split
-from .ode import forecast_fit
+from .ode import forecast_power_fits
 from .transform import trapezoid_cumulative
 
 FAMILY_INGM = "ingm"      # power term only, no linear term
@@ -234,8 +234,10 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
     With ``split`` given, each candidate is fitted on the first ``split``
     samples and scored by the MAPE of its fitted-plus-forecast trajectory over
     the whole series (the held-out stamps entered as true forecasts); without
-    a split the in-sample RMSE is used.  Candidates whose fit or forecast
-    fails are skipped; exact ties go to the smaller exponent.
+    a split the in-sample RMSE is used.  Every fitted candidate is integrated
+    in one batched pass (``forecast_power_fits``), each row bitwise its own
+    ``forecast_fit``.  Candidates whose fit or forecast fails are skipped;
+    exact ties go to the smaller exponent.
 
     Returns the winning exponent and its (training-segment) fit.
     """
@@ -249,27 +251,30 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
             raise ConfigError(f"split must lie strictly inside (1, {ts.n})")
         if ts.n - split < 4:
             raise ConfigError("split must leave at least 4 test points")
+        if np.any(ts.values == 0.0):
+            raise ConfigError("the series has a zero observation, where the MAPE "
+                              "score is undefined")
         fit_series, test = train_test_split(ts, split)
         horizon, future, score_of = test.n, test.times, mape
     # the loop skips failing candidates, so reject an unknown family or an
     # unusable series here, where the error can still say what is wrong
     power_family_spec(family, lo).check_series(fit_series)
     count = int(round((hi - lo) / step)) + 1
-    best: Optional[Tuple[float, float, FitResult]] = None
+    fits = []
     for i in range(count):
-        gamma = lo + i * step
         try:
-            fit = fit_matching_power(fit_series, power_family_spec(family, gamma))
-            forecast = forecast_fit(fit, horizon, future_times=future)
-            if forecast.blown_up:
-                continue
-            score = score_of(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
+            fits.append(fit_matching_power(fit_series, power_family_spec(family, lo + i * step)))
         except GreyModelError:
             continue
-        if not np.isfinite(score):
+    # a trajectory that left the domain is flagged as blown up too
+    forecasts, _ = forecast_power_fits(fits, horizon, future_times=future)
+    best: Optional[Tuple[float, FitResult]] = None
+    for fit, forecast in zip(fits, forecasts):
+        if forecast.blown_up:
             continue
-        if best is None or score < best[0]:
-            best = (score, gamma, fit)
+        score = score_of(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
+        if np.isfinite(score) and (best is None or score < best[0]):
+            best = (score, fit)
     if best is None:
         raise GreyModelError("every exponent candidate failed to fit or forecast")
-    return best[1], best[2]
+    return best[1].spec.basis.gamma, best[1]

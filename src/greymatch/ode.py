@@ -5,25 +5,29 @@ The integrator is a classical 4th-order Runge-Kutta scheme with a fixed number
 of substeps per sampling interval; determinism matters more than adaptivity
 here because the Monte Carlo harness must be exactly reproducible.  Divergence
 is detected with an overflow guard and reported via a flag, never an
-unhandled NaN.
+unhandled NaN.  It also integrates a batch of independent states in one pass,
+flagging each row on its own; reduced power-family fits that share a grid are
+forecast that way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
     BlowUpError,
     ConfigError,
+    DomainError,
     FitResult,
     Forecast,
     GREY_FORM,
     ModelSpec,
     ParameterSet,
+    PowerUnivariate,
     REDUCED_FORM,
     _readonly,
 )
@@ -41,18 +45,26 @@ VectorField = Callable[[float, np.ndarray], np.ndarray]
 class Trajectory:
     """States recorded at the sample times, with an explicit divergence flag.
 
-    When ``blown_up`` is true, ``blowup_index`` is the first sample index whose
-    state could not be computed; that row and all later rows are NaN.
+    ``states`` is (n, m) for one integrated state and (n, B, m) for a batch
+    of B.  When ``blown_up`` is true, ``blowup_index`` is the first sample
+    index whose state could not be computed; that sample and all later ones
+    are NaN.  For a batch, ``blown_up`` means that any row blew up,
+    ``blowup_index`` is the earliest such index, and ``row_blowup_index``
+    holds each row's own index (-1 for rows that ran to the end).
     """
 
     times: np.ndarray
     states: np.ndarray
     blown_up: bool = False
     blowup_index: Optional[int] = None
+    row_blowup_index: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "times", _readonly(self.times))
         object.__setattr__(self, "states", _readonly(self.states))
+        if self.row_blowup_index is not None:
+            object.__setattr__(self, "row_blowup_index",
+                               _readonly(self.row_blowup_index, dtype=int))
 
 
 def default_substeps(times) -> int:
@@ -68,6 +80,16 @@ def _within_guard(state: np.ndarray) -> bool:
     return bool(np.max(np.abs(state)) < OVERFLOW_GUARD)
 
 
+def _drop_bad_rows(state: np.ndarray, first_bad: np.ndarray, k: int) -> bool:
+    """Set the rows of ``state`` that fail the guard to NaN, record ``k`` as the
+    first bad sample of those newly failed, and say whether any row still runs."""
+    rows = np.atleast_2d(state)    # a view, so the NaNs land in ``state``
+    bad = ~(np.max(np.abs(rows), axis=1) < OVERFLOW_GUARD)
+    first_bad[bad & (first_bad < 0)] = k
+    rows[bad] = np.nan
+    return not bad.all()
+
+
 def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajectory:
     """Integrate d(state)/dt = rhs(t, state) with classical RK4.
 
@@ -75,22 +97,31 @@ def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajec
     equal internal steps; only the sample times are recorded.  If any
     intermediate state is non-finite or exceeds the overflow guard the
     trajectory is flagged as blown up and the remaining rows stay NaN.
+
+    ``initial`` is one state (m,) or a batch of B independent states (B, m);
+    ``rhs`` is then called on the whole (B, m) batch and its row i must
+    depend on row i alone.  Each row has its own guard: a row that fails it
+    is NaN from that sample on while the other rows carry on, so every row
+    equals the same row integrated alone.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     times = np.asarray(times, dtype=float)
-    state = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
-    out = np.full((times.size, state.size), np.nan)
-    if not _within_guard(state):
-        return Trajectory(times, out, blown_up=True, blowup_index=0)
+    state = np.array(initial, dtype=float, ndmin=1)
+    if state.ndim > 2:
+        raise ValueError("initial must be one state (m,) or a batch of states (B, m)")
+    out = np.full((times.size,) + state.shape, np.nan)
+    first_bad = np.full(state.shape[0] if state.ndim == 2 else 1, -1)
+    running = _within_guard(state) or _drop_bad_rows(state, first_bad, 0)
     out[0] = state
     sixth = 1.0 / 6.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, times.size):
+            if not running:
+                break
             dt = (times[k] - times[k - 1]) / substeps
             half = 0.5 * dt
             t = times[k - 1]
-            ok = True
             for _ in range(substeps):
                 k1 = rhs(t, state)
                 k2 = rhs(t + half, state + half * k1)
@@ -98,13 +129,15 @@ def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajec
                 k4 = rhs(t + dt, state + dt * k3)
                 state = state + dt * sixth * (k1 + 2.0 * (k2 + k3) + k4)
                 t += dt
-                if not _within_guard(state):
-                    ok = False
+                # one reduction per substep; rows are looked at only after a failure
+                if not _within_guard(state) and not _drop_bad_rows(state, first_bad, k):
+                    running = False
                     break
-            if not ok:
-                return Trajectory(times, out, blown_up=True, blowup_index=k)
             out[k] = state
-    return Trajectory(times, out, blown_up=False)
+    bad = first_bad >= 0
+    return Trajectory(times, out, blown_up=bool(bad.any()),
+                      blowup_index=int(first_bad[bad].min()) if bad.any() else None,
+                      row_blowup_index=first_bad if state.ndim == 2 else None)
 
 
 def grey_rhs(spec: ModelSpec, params: ParameterSet) -> VectorField:
@@ -192,13 +225,87 @@ def extend_times(times: np.ndarray, horizon: int,
     return np.concatenate([times, times[-1] + mean_h * np.arange(1, horizon + 1)])
 
 
+def _is_power_reduced(fit: FitResult) -> bool:
+    return fit.params.form == REDUCED_FORM and isinstance(fit.spec.basis, PowerUnivariate)
+
+
+def power_batch_rhs(fits: Sequence[FitResult]) -> Tuple[VectorField, np.ndarray]:
+    """Vector field of B reduced power-family fits on a (B, 2) state of rows [x, y].
+
+    Row i is the field of ``reduced_augmented_rhs`` for fit i,
+    dx/dt = a x + b gamma y^(gamma - 1) x and dy/dt = x, evaluated with the
+    same float operations in the same order, so each row is bitwise
+    independent of the others.  The rows are evaluated one by one because
+    the power must stay Python's ``float ** float`` (libm ``pow``, as in the
+    scalar basis), which numpy's vectorised power does not always reproduce.
+
+    A row whose y leaves y > 0 under a non-integer exponent, or whose power
+    Python refuses (overflow, zero to a negative power), gets a NaN
+    derivative instead of an error; the returned mask marks the former.
+    """
+    rows = []
+    for fit in fits:
+        a, b, g = fit.params.theta_L[0, 0], fit.params.theta_N[0, 0], float(fit.spec.basis.gamma)
+        rows.append((float(a), float(b), g, g - 1.0, not g.is_integer()))
+    left_domain = np.zeros(len(rows), dtype=bool)
+
+    def rhs(t, u):
+        du = []
+        for i, ((x, y), (a, b, g, e, fractional)) in enumerate(zip(u.tolist(), rows)):
+            if fractional and y <= 0.0:
+                left_domain[i] = True
+                jac = math.nan
+            else:
+                try:
+                    jac = g * y ** e
+                except (OverflowError, ZeroDivisionError):
+                    jac = math.nan
+            du += (a * x + b * (jac * x), x)
+        return np.array(du).reshape(-1, 2)
+
+    return rhs, left_domain
+
+
+def forecast_power_fits(fits: Sequence[FitResult], horizon: int,
+                        future_times=None) -> Tuple[List[Forecast], np.ndarray]:
+    """Forecast reduced power-family fits on one shared grid in one batched RK4 pass.
+
+    Returns one forecast per fit, each bitwise the one the fit gets alone,
+    and a mask of the fits whose trajectory left the basis' domain; those
+    are flagged as blown up instead of raising, so the others carry on.
+    """
+    if not fits:
+        return [], np.zeros(0, dtype=bool)
+    for fit in fits:
+        if not _is_power_reduced(fit):
+            raise ConfigError("the batched forecast takes reduced power-family fits only")
+        if not np.array_equal(fit.times, fits[0].times):
+            raise ConfigError("the batched forecast needs fits on one shared grid")
+    grid = extend_times(fits[0].times, horizon, future_times)
+    rhs, left_domain = power_batch_rhs(fits)
+    initial = [(fit.params.initial_state()[0], fit.params.eta[0]) for fit in fits]
+    traj = rk4_integrate(rhs, initial, grid, default_substeps(grid))
+    forecasts = [Forecast(grid, traj.states[:, i, :1], horizon, blown_up=k >= 0,
+                          blowup_index=k if k >= 0 else None)
+                 for i, k in enumerate(traj.row_blowup_index.tolist())]
+    return forecasts, left_domain
+
+
 def forecast_fit(fit: FitResult, horizon: int, future_times=None) -> Forecast:
     """Integrate a fit over its grid extended by ``horizon`` stamps.
 
     Grey-form fits integrate the cumulative model and difference back to the
     original scale; reduced-form fits integrate the augmented system and read
-    the original state off directly.
+    the original state off directly, power-family ones as a batch of one
+    (``forecast_power_fits``).
     """
+    if _is_power_reduced(fit):
+        (forecast,), left_domain = forecast_power_fits([fit], horizon, future_times)
+        if left_domain[0]:
+            left_at = forecast.times[forecast.blowup_index]
+            raise DomainError(f"power basis with gamma={fit.spec.basis.gamma} requires a "
+                              f"positive argument; the trajectory left y > 0 by t={left_at:g}")
+        return forecast
     grid = extend_times(fit.times, horizon, future_times)
     if fit.params.form == GREY_FORM:
         traj = solve_grey(fit.spec, fit.params, grid)

@@ -136,6 +136,32 @@ class TestFitCommand:
         assert "Traceback" not in capsys.readouterr().err
         assert json.loads((out / "fit.json").read_text())["error"]["exit_code"] == 6
 
+    def test_zero_observation_in_gamma_search_exit_6(self, tmp_path, capsys):
+        # MAPE-scored exponent search on a series with one zero observation
+        path = tmp_path / "zero.csv"
+        write_csv(path, range(1, 16), [0.0] + list(SEWAGE_VALUES[1:]))
+        out = tmp_path / "o6"
+        assert main(["fit", str(path), "--model", "ingbm", "--method", "matching",
+                     "--gamma-search", "0,2,0.05", "--split", "11",
+                     "--out-dir", str(out)]) == 6
+        assert "Traceback" not in capsys.readouterr().err
+        error = json.loads((out / "fit.json").read_text())["error"]
+        assert error["category"] == "ConfigError" and error["exit_code"] == 6
+
+    def test_zero_observation_rejected_before_the_fit(self, tmp_path, monkeypatch):
+        import greymatch.cli as cli
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the exponent search ran on a rejected series")
+
+        monkeypatch.setattr(cli, "gamma_line_search", no_search)
+        path = tmp_path / "zero.csv"
+        write_csv(path, range(1, 16), list(SEWAGE_VALUES[:7]) + [0.0] + list(SEWAGE_VALUES[8:]))
+        out = tmp_path / "o6"
+        assert main(["fit", str(path), "--model", "ingbm", "--gamma-search", "0,2,0.05",
+                     "--out-dir", str(out)]) == 6
+        assert "t=8" in json.loads((out / "fit.json").read_text())["error"]["message"]
+
     @pytest.mark.parametrize("model", ["ingm", "ingbm"])
     def test_gamma_and_gamma_search_write_one_spec(self, sewage_csv, tmp_path, model):
         search, single = tmp_path / "search", tmp_path / "single"

@@ -4,6 +4,7 @@ import pytest
 from greymatch import (
     ConfigError,
     DomainError,
+    GreyModelError,
     ModelSpec,
     ParameterSet,
     PolynomialUnivariate,
@@ -28,7 +29,9 @@ from greymatch import (
     transform_parameters,
     verhulst_spec,
 )
-from greymatch.datasets import TRAIN_SIZE, sewage_discharge
+from greymatch import integral_matching
+from greymatch.datasets import TRAIN_SIZE, sewage_discharge, water_use
+from greymatch.integral_matching import power_family_spec
 from greymatch.metrics import train_test_split
 
 
@@ -271,19 +274,87 @@ class TestPowerFallback:
         assert fit.spec.basis.gamma == 1.5
 
 
+def count_power_fits(monkeypatch):
+    """Count the fit_matching_power calls the exponent search makes."""
+    calls = []
+
+    def counting(ts, spec):
+        calls.append(spec.basis.gamma)
+        return fit_matching_power(ts, spec)
+
+    monkeypatch.setattr(integral_matching, "fit_matching_power", counting)
+    return calls
+
+
+def serial_search(ts, family, lo, hi, step, split):
+    """Reference exponent search: fit, forecast and score one candidate at a time."""
+    train, test = train_test_split(ts, split)
+    best = None
+    for i in range(int(round((hi - lo) / step)) + 1):
+        gamma = lo + i * step
+        try:
+            fit = fit_matching_power(train, power_family_spec(family, gamma))
+            forecast = forecast_fit(fit, test.n, future_times=test.times)
+        except GreyModelError:
+            continue
+        if forecast.blown_up:
+            continue
+        score = integral_matching.mape(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
+        if np.isfinite(score) and (best is None or score < best[0]):
+            best = (score, gamma, fit)
+    return best[1], best[2]
+
+
+def assert_same_fit(a, b):
+    assert a.spec == b.spec and a.method == b.method
+    for name in ("theta_L", "theta_N", "eta"):
+        assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
+    assert np.array_equal(a.residual_matrix, b.residual_matrix)
+    assert a.condition_estimate == b.condition_estimate
+    assert np.array_equal(a.times, b.times)
+
+
 class TestGammaSearch:
-    def test_grid_count_and_winner(self):
-        calls = []
+    def test_grid_count_and_winner(self, monkeypatch):
+        calls = count_power_fits(monkeypatch)
         ts = sewage_discharge()
-        # wrap the candidate evaluation by scanning a small range
         gamma, fit = gamma_line_search(ts, "ingbm", (0.9, 1.1), 0.01,
                                        split=TRAIN_SIZE)
-        assert 0.9 <= gamma <= 1.1
+        assert len(calls) == 21
+        assert calls[0] == 0.9 and abs(calls[-1] - 1.1) < 1e-12
         assert abs(gamma - 1.0) < 1e-9
 
-    def test_full_grid_has_201_candidates(self):
-        lo, hi, step = 0.0, 2.0, 0.01
-        assert int(round((hi - lo) / step)) + 1 == 201
+    def test_full_grid_has_201_candidates(self, monkeypatch):
+        calls = count_power_fits(monkeypatch)
+        gamma_line_search(sewage_discharge(), "ingbm", (0.0, 2.0), 0.01, split=TRAIN_SIZE)
+        assert len(calls) == 201
+        assert np.allclose(np.diff(calls), 0.01)
+
+    @pytest.mark.parametrize("family", ["ingm", "ingbm"])
+    @pytest.mark.parametrize("dataset", [sewage_discharge, water_use],
+                             ids=["sewage", "water"])
+    def test_matches_serial_reference(self, dataset, family):
+        ts = dataset()
+        gamma, fit = gamma_line_search(ts, family, (0.0, 2.0), 0.05, split=TRAIN_SIZE)
+        ref_gamma, ref_fit = serial_search(ts, family, 0.0, 2.0, 0.05, TRAIN_SIZE)
+        assert gamma == ref_gamma
+        assert_same_fit(fit, ref_fit)
+
+    def test_ties_go_to_the_smaller_exponent(self, monkeypatch):
+        monkeypatch.setattr(integral_matching, "mape", lambda fitted, actual: 1.0)
+        ts = sewage_discharge()
+        gamma, fit = gamma_line_search(ts, "ingbm", (0.5, 1.5), 0.25, split=TRAIN_SIZE)
+        ref_gamma, ref_fit = serial_search(ts, "ingbm", 0.5, 1.5, 0.25, TRAIN_SIZE)
+        assert gamma == ref_gamma == 0.5
+        assert_same_fit(fit, ref_fit)
+
+    def test_zero_observation_with_split_is_a_config_error(self):
+        ts = sewage_discharge()
+        values = ts.values.copy()
+        values[12, 0] = 0.0
+        with pytest.raises(ConfigError, match="zero observation"):
+            gamma_line_search(TimeSeries(ts.times, values), "ingbm", (0.5, 1.5), 0.25,
+                              split=TRAIN_SIZE)
 
     def test_in_sample_scoring_without_split(self):
         times = np.arange(0.0, 3.0 + 1e-9, 0.1)

@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from greymatch import (
     BlowUpError,
+    DomainError,
+    FitResult,
     GREY_FORM,
+    METHOD_INTEGRAL_MATCHING_POWER,
     ModelSpec,
     ParameterSet,
     REDUCED_FORM,
     TimeSeries,
+    fit_matching_power,
+    forecast_fit,
+    forecast_power_fits,
     grey_rhs,
     grey_to_reduced,
     lotka_volterra_spec,
+    power_spec,
     reduced_augmented_rhs,
     rk4_integrate,
     solve_grey,
@@ -20,7 +28,10 @@ from greymatch import (
     verhulst_closed_form_y,
     verhulst_spec,
 )
-from greymatch.ode import default_substeps
+from greymatch.datasets import TRAIN_SIZE, sewage_discharge, water_use
+from greymatch.integral_matching import power_family_spec
+from greymatch.metrics import train_test_split
+from greymatch.ode import default_substeps, extend_times
 
 A, B, ETA = 1.2, -0.5, 0.4
 
@@ -85,6 +96,11 @@ class TestRK4:
                              [1.0], np.arange(4.0), 2)
         assert traj.blown_up and traj.blowup_index == 2
         assert np.all(np.isfinite(traj.states[:2])) and np.all(np.isnan(traj.states[2:]))
+        # in a batch, a non-finite start flags that row only
+        traj = rk4_integrate(lambda t, y: y, [[1.0], [np.nan]], np.arange(3.0), 1)
+        assert traj.blown_up and traj.blowup_index == 0
+        assert list(traj.row_blowup_index) == [-1, 0]
+        assert np.all(np.isfinite(traj.states[:, 0])) and np.all(np.isnan(traj.states[:, 1]))
 
 
 class TestVectorFields:
@@ -212,3 +228,106 @@ class TestEquivalence:
             y_grey = solve_grey(spec, grey, times, substeps=5).states[:, 0]
             y_reduced = solve_reduced(spec, reduced, times, substeps=5).states[:, 1]
             assert np.max(np.abs(y_grey - y_reduced)) <= 1e-6
+
+
+def pair_field(a, b, c):
+    """Row-wise field on rows [x, y]: dx = a x + b x y, dy = x + c sqrt(y).
+
+    x can overflow the guard and y can go negative, where sqrt turns the row
+    NaN; the arithmetic is elementwise, so a batch and a single row agree.
+    """
+    def rhs(t, u):
+        x, y = u[..., 0], u[..., 1]
+        return np.stack([a * x + b * x * y, x + c * np.sqrt(y)], axis=-1)
+
+    return rhs
+
+
+def power_fit(a, b, gamma, eta, eta_x, times):
+    params = ParameterSet([[a]], [[b]], [eta], eta_x=[eta_x], form=REDUCED_FORM)
+    return FitResult(power_spec(gamma), params, METHOD_INTEGRAL_MATCHING_POWER,
+                     np.zeros((times.size - 1, 1)), 1.0, times)
+
+
+def row_index(traj_or_forecast):
+    return traj_or_forecast.blowup_index if traj_or_forecast.blown_up else -1
+
+
+pair_rows = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-2.0, 2.0),
+                      st.floats(-3.0, 3.0), st.floats(-1.0, 3.0))
+power_rows = st.tuples(st.floats(-80.0, 80.0), st.floats(-5.0, 5.0),
+                       st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0)),
+                       st.floats(-0.5, 3.0), st.floats(-3.0, 3.0))
+
+
+class TestBatched:
+    @given(rows=st.lists(pair_rows, min_size=1, max_size=6), n=st.integers(2, 8),
+           substeps=st.integers(1, 4), data=st.data())
+    def test_rk4_rows_equal_serial_runs(self, rows, n, substeps, data):
+        rows = [rows[i] for i in data.draw(st.permutations(range(len(rows))))]
+        a, b, c, x0, y0 = (np.array(col) for col in zip(*rows))
+        times = np.arange(float(n))
+        batch = rk4_integrate(pair_field(a, b, c), np.column_stack([x0, y0]), times, substeps)
+        indices = []
+        for i in range(len(rows)):
+            alone = rk4_integrate(pair_field(a[i], b[i], c[i]), [x0[i], y0[i]], times, substeps)
+            assert np.array_equal(batch.states[:, i], alone.states, equal_nan=True)
+            assert batch.row_blowup_index[i] == row_index(alone)
+            indices.append(row_index(alone))
+        flagged = [k for k in indices if k >= 0]
+        assert batch.blown_up == bool(flagged)
+        assert batch.blowup_index == (min(flagged) if flagged else None)
+
+    @given(rows=st.lists(power_rows, min_size=1, max_size=6), n=st.integers(2, 8),
+           horizon=st.integers(0, 3))
+    def test_power_forecast_rows_equal_serial_runs(self, rows, n, horizon):
+        times = 0.05 * np.arange(float(n))
+        fits = [power_fit(*row, times) for row in rows]
+        forecasts, left_domain = forecast_power_fits(fits, horizon)
+        for fit, forecast, left in zip(fits, forecasts, left_domain):
+            (alone,), alone_left = forecast_power_fits([fit], horizon)
+            assert np.array_equal(forecast.fitted_and_forecast, alone.fitted_and_forecast,
+                                  equal_nan=True)
+            assert row_index(forecast) == row_index(alone)
+            assert left == alone_left[0]
+            assert forecast.blown_up or not left
+            if left:
+                with pytest.raises(DomainError):
+                    forecast_fit(fit, horizon)
+            else:
+                single = forecast_fit(fit, horizon)
+                assert np.array_equal(single.fitted_and_forecast,
+                                      forecast.fitted_and_forecast, equal_nan=True)
+                assert row_index(single) == row_index(forecast)
+
+    def test_bad_rows_do_not_stop_the_batch(self):
+        times = 0.05 * np.arange(11.0)
+        fits = [power_fit(1.0, 0.5, 0.5, 1.0, 1.0, times),     # runs to the end
+                power_fit(80.0, 5.0, 2.0, 1.0, 1.0, times),    # overflows the guard
+                power_fit(1.0, 0.5, 0.5, 0.1, -3.0, times)]    # y drops below 0
+        forecasts, left_domain = forecast_power_fits(fits, 2)
+        assert [f.blown_up for f in forecasts] == [False, True, True]
+        assert list(left_domain) == [False, False, True]
+        for forecast in forecasts[1:]:
+            k = forecast.blowup_index
+            assert 0 < k < times.size
+            assert np.all(np.isfinite(forecast.fitted_and_forecast[:k]))
+            assert np.all(np.isnan(forecast.fitted_and_forecast[k:]))
+        assert np.all(np.isfinite(forecasts[0].fitted_and_forecast))
+        with pytest.raises(DomainError):
+            forecast_fit(fits[2], 2)
+
+    @pytest.mark.parametrize("family", ["ingm", "ingbm"])
+    @pytest.mark.parametrize("dataset", [sewage_discharge, water_use],
+                             ids=["sewage", "water"])
+    def test_power_forecast_equals_augmented_jacobian_route(self, dataset, family):
+        train, test = train_test_split(dataset(), TRAIN_SIZE)
+        fits = [fit_matching_power(train, power_family_spec(family, 0.25 * i))
+                for i in range(1, 9)]
+        forecasts, left_domain = forecast_power_fits(fits, test.n, test.times)
+        assert not left_domain.any()
+        grid = extend_times(train.times, test.n, test.times)
+        for fit, forecast in zip(fits, forecasts):
+            traj = solve_reduced(fit.spec, fit.params, grid)
+            assert np.array_equal(forecast.fitted_and_forecast, traj.states[:, :1])
+            assert forecast.blown_up == traj.blown_up
