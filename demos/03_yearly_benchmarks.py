@@ -6,52 +6,33 @@ discharge and total water use.  The first 11 years train the models, the last
 steps of 0.01, scored by whole-series forecasting error.
 """
 
-from greymatch import (
-    evaluation_report,
-    fit_matching,
-    forecast_fit,
-    gamma_line_search,
-    train_test_split,
-    verhulst_spec,
-)
 from greymatch.datasets import (
-    DATASETS,
     REPORTED_FORECASTS,
     REPORTED_INGBM_PARAMETERS,
     REPORTED_MAPE,
     TRAIN_SIZE,
     YEARS,
+    reproduce_benchmark,
 )
 
 for name in ("sewage", "water"):
-    ts = DATASETS[name]()
-    train, test = train_test_split(ts, TRAIN_SIZE)
     print(f"=== {name} ({YEARS[0]}-{YEARS[-1]}, train through {YEARS[TRAIN_SIZE - 1]}) ===")
 
-    fits = {}
-    for model in ("igvm", "ingm", "ingbm"):
-        if model == "igvm":
-            gamma, fit = None, fit_matching(train, verhulst_spec())
-        else:
-            gamma, fit = gamma_line_search(ts, model, (0.0, 2.0), 0.01,
-                                           split=TRAIN_SIZE)
-        forecast = forecast_fit(fit, test.n, future_times=test.times)
-        report = evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE)
-        fits[model] = fit
+    models, projection = reproduce_benchmark(name)
+    for model, (gamma, _, _, report) in models.items():
         ref_train, ref_test = REPORTED_MAPE[name][model]
         gamma_text = "  - " if gamma is None else f"{gamma:4.2f}"
         print(f"  {model:6s} gamma*={gamma_text}  "
               f"fit {report.mape_train:5.2f}% (reported {ref_train:5.2f}%)  "
               f"forecast {report.mape_test:5.2f}% (reported {ref_test:5.2f}%)")
 
-    best = fits["ingbm"]
+    _, best, _, _ = models["ingbm"]
     ref = REPORTED_INGBM_PARAMETERS[name]
     print(f"  best model parameters: a={best.params.theta_L[0, 0]:.4f} "
           f"(reported {ref['a']}), b={best.params.theta_N[0, 0]:.4f} "
           f"(reported {ref['b']}), eta={best.params.eta[0]:.2f} "
           f"(reported {ref['eta']})")
 
-    projection = forecast_fit(best, test.n + 3)
     ours = projection.fitted_and_forecast[-3:, 0]
     print("  2019-2021 projection: "
           + ", ".join(f"{v:.2f} (reported {r})"

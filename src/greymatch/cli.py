@@ -46,11 +46,10 @@ from .core import (
     verhulst_spec,
 )
 from .datasets import (
-    DATASETS,
     REPORTED_FORECASTS,
     REPORTED_INGBM_PARAMETERS,
     REPORTED_MAPE,
-    TRAIN_SIZE,
+    reproduce_benchmark,
 )
 from .grey_twostep import GreyFitConfig, INITIAL_STRATEGIES, fit_grey
 from .integral_matching import (
@@ -100,7 +99,7 @@ def read_timeseries_csv(path) -> TimeSeries:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if len(lines) < 2:
         raise ParseError(f"{path}: need a header row and at least one data row")
@@ -123,6 +122,17 @@ def read_timeseries_csv(path) -> TimeSeries:
         return TimeSeries(data[:, 0], data[:, 1:])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_json(path):
+    """Load a UTF-8 JSON file; an unreadable or malformed file is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _sha256(path) -> str:
@@ -341,17 +351,16 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"--split must lie strictly between 1 and {ts.n}")
     train = ts if split is None else train_test_split(ts, split)[0]
     gamma_search_doc = None
+    forecast = None
     zero_times = ts.times[np.any(ts.values == 0.0, axis=1)]
     zero_error = None if zero_times.size == 0 else ConfigError(
         f"observation at t={zero_times[0]:g} is zero; "
         "the percentage errors of the report are undefined there")
-    # rejected before the fit, except an all-zero series: the fit rejects
-    # that one itself (a singular design) and keeps its error and exit code
-    if zero_error is not None and np.any(ts.values != 0.0):
-        _write_error_fit_json(out_dir, zero_error)
-        raise zero_error
-
     try:
+        # rejected before the fit, except an all-zero series: the fit rejects
+        # that one itself (a singular design) and keeps its error and exit code
+        if zero_error is not None and np.any(ts.values != 0.0):
+            raise zero_error
         if args.method == "grey":
             spec = _resolve_spec(args.model, args.gamma)
             grey_config = GreyFitConfig(
@@ -361,25 +370,23 @@ def cmd_fit(args) -> int:
             fit = fit_grey(train, spec, grey_config)
         elif args.gamma_search is not None:
             lo, hi, step = _parse_gamma_search(args.gamma_search)
-            gamma_star, fit = gamma_line_search(ts, args.model, (lo, hi), step, split=split)
+            gamma_star, fit, forecast = gamma_line_search(ts, args.model, (lo, hi), step,
+                                                          split=split)
             gamma_search_doc = {"range": [lo, hi], "step": step, "gamma_star": gamma_star}
         else:
             spec = _resolve_spec(args.model, args.gamma)
             fit = fit_matching(train, spec)
+        if zero_error is not None:
+            raise zero_error
+        if forecast is None:
+            horizon = 0 if split is None else ts.n - split
+            future = None if split is None else ts.times[split:]
+            forecast = forecast_fit(fit, horizon, future_times=future)
+        if forecast.blown_up:
+            raise BlowUpError("fitted trajectory blew up while computing fitted values")
     except GreyModelError as exc:
         _write_error_fit_json(out_dir, exc)
         raise
-
-    if zero_error is not None:
-        _write_error_fit_json(out_dir, zero_error)
-        raise zero_error
-    horizon = 0 if split is None else ts.n - split
-    future = None if split is None else ts.times[split:]
-    forecast = forecast_fit(fit, horizon, future_times=future)
-    if forecast.blown_up:
-        exc = BlowUpError("fitted trajectory blew up while computing fitted values")
-        _write_error_fit_json(out_dir, exc)
-        raise exc
 
     predicted = forecast.fitted_and_forecast
     report = evaluation_report(ts, predicted, split)
@@ -450,14 +457,8 @@ def cmd_forecast(args) -> int:
     started = time.monotonic()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(args.fit, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.fit}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.fit}: invalid JSON: {exc}") from exc
-    if "error" in doc:
+    doc = _read_json(args.fit)
+    if isinstance(doc, dict) and "error" in doc:
         raise ConfigError(f"{args.fit} records a failed fit; nothing to forecast")
     try:
         fit = _fit_from_json(doc)
@@ -491,6 +492,8 @@ def cmd_forecast(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _require_key(doc: dict, key: str, kind, context: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context} is invalid: expected an object, got {type(doc).__name__}")
     if key not in doc:
         raise ConfigError(f"{context}: missing key {key!r}")
     value = doc[key]
@@ -503,10 +506,10 @@ def _require_key(doc: dict, key: str, kind, context: str):
 def _scenario_from_json(doc: dict, context: str) -> ScenarioConfig:
     known = {"scenario_id", "model", "T", "h", "n", "noise_level", "replications",
              "seed", "estimators", "grey_initial", "truth"}
+    model = _require_key(doc, "model", str, context)
     for key in doc:
         if key not in known:
             raise ConfigError(f"{context}: unknown key {key!r}")
-    model = _require_key(doc, "model", str, context)
     if model == "verhulst":
         spec, truth = verhulst_truth()
     elif model == "lv":
@@ -515,7 +518,8 @@ def _scenario_from_json(doc: dict, context: str) -> ScenarioConfig:
         raise ConfigError(f"{context}: key 'model' must be 'verhulst' or 'lv', got {model!r}")
     if "truth" in doc:
         truth = _truth_from_json(doc["truth"], model, context)
-    estimators = tuple(doc.get("estimators", KNOWN_ESTIMATORS))
+    estimators = (_require_key(doc, "estimators", tuple, context)
+                  if "estimators" in doc else KNOWN_ESTIMATORS)
     for estimator in estimators:
         if estimator not in KNOWN_ESTIMATORS:
             raise ConfigError(f"{context}: key 'estimators' names unknown estimator {estimator!r}")
@@ -532,7 +536,7 @@ def _scenario_from_json(doc: dict, context: str) -> ScenarioConfig:
             spec=spec, truth=truth,
             T=_require_key(doc, "T", float, context),
             h=_require_key(doc, "h", float, context),
-            n=int(doc["n"]) if "n" in doc and doc["n"] is not None else None,
+            n=_require_key(doc, "n", int, context) if doc.get("n") is not None else None,
             noise_level=_require_key(doc, "noise_level", float, context),
             replications=_require_key(doc, "replications", int, context),
             seed=_require_key(doc, "seed", int, context),
@@ -565,13 +569,7 @@ def _load_scenarios(source: str, replications: Optional[int]) -> List[ScenarioCo
     if source in BUNDLED_SCENARIOS:
         scenarios = BUNDLED_SCENARIOS[source]()
     else:
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise ParseError(f"cannot read scenario file {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{source}: invalid JSON: {exc}") from exc
+        doc = _read_json(source)
         if isinstance(doc, dict):
             doc = [doc]
         if not isinstance(doc, list):
@@ -624,55 +622,24 @@ def cmd_mc(args) -> int:
 # reproduce command
 # ---------------------------------------------------------------------------
 
-def _reproduce_dataset(dataset: str):
-    """Fit the three yearly models with the benchmark protocol.
-
-    Returns rows (model, gamma_star, mape_train, mape_test) plus the winning
-    power-family fits keyed by model name.
-    """
-    ts = DATASETS[dataset]()
-    train, test = train_test_split(ts, TRAIN_SIZE)
-    rows = []
-    fits = {}
-
-    fit = fit_matching(train, verhulst_spec())
-    forecast = forecast_fit(fit, test.n, future_times=test.times)
-    report = evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE)
-    rows.append(("igvm", None, report.mape_train, report.mape_test))
-    fits["igvm"] = fit
-
-    for model in (FAMILY_INGM, FAMILY_INGBM):
-        gamma_star, fit = gamma_line_search(ts, model, (0.0, 2.0), 0.01,
-                                            split=TRAIN_SIZE)
-        forecast = forecast_fit(fit, test.n, future_times=test.times)
-        report = evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE)
-        rows.append((model, gamma_star, report.mape_train, report.mape_test))
-        fits[model] = fit
-    return rows, fits
-
-
-def _write_comparison_csv(path, dataset: str, rows) -> None:
-    header = ("model,gamma_star,mape_train,mape_train_reported,delta_train,"
-              "mape_test,mape_test_reported,delta_test")
+def _write_comparison(path, dataset: str, models) -> None:
+    """Write and print each model's MAPEs beside the reported ones."""
+    print(f"{dataset}: model    gamma*   MAPE_train (ours/reported)   MAPE_test (ours/reported)")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header + "\n")
-        for model, gamma_star, mtrain, mtest in rows:
+        handle.write("model,gamma_star,mape_train,mape_train_reported,delta_train,"
+                     "mape_test,mape_test_reported,delta_test\n")
+        for model, (gamma_star, _, _, report) in models.items():
+            mtrain, mtest = report.mape_train, report.mape_test
             ref_train, ref_test = REPORTED_MAPE[dataset][model]
             fields = [model,
                       "" if gamma_star is None else repr(round(gamma_star, 10)),
                       repr(mtrain), repr(ref_train), repr(mtrain - ref_train),
                       repr(mtest), repr(ref_test), repr(mtest - ref_test)]
             handle.write(",".join(fields) + "\n")
-
-
-def _print_comparison(dataset: str, rows) -> None:
-    print(f"{dataset}: model    gamma*   MAPE_train (ours/reported)   MAPE_test (ours/reported)")
-    for model, gamma_star, mtrain, mtest in rows:
-        ref_train, ref_test = REPORTED_MAPE[dataset][model]
-        gtxt = "   -" if gamma_star is None else f"{gamma_star:4.2f}"
-        print(f"  {model:6s} {gtxt}     {mtrain:5.2f} / {ref_train:5.2f}  "
-              f"(d={mtrain - ref_train:+.2f})      {mtest:5.2f} / {ref_test:5.2f}  "
-              f"(d={mtest - ref_test:+.2f})")
+            gtxt = "   -" if gamma_star is None else f"{gamma_star:4.2f}"
+            print(f"  {model:6s} {gtxt}     {mtrain:5.2f} / {ref_train:5.2f}  "
+                  f"(d={mtrain - ref_train:+.2f})      {mtest:5.2f} / {ref_test:5.2f}  "
+                  f"(d={mtest - ref_test:+.2f})")
 
 
 def cmd_reproduce(args) -> int:
@@ -682,12 +649,11 @@ def cmd_reproduce(args) -> int:
     outputs = []
     if args.table in ("3", "4"):
         dataset = "sewage" if args.table == "3" else "water"
-        rows, fits = _reproduce_dataset(dataset)
+        models, _ = reproduce_benchmark(dataset)
         path = out_dir / f"table{args.table}_comparison.csv"
-        _write_comparison_csv(path, dataset, rows)
+        _write_comparison(path, dataset, models)
         outputs.append(path.name)
-        _print_comparison(dataset, rows)
-        best = fits["ingbm"]
+        _, best, _, _ = models[FAMILY_INGBM]
         reported = REPORTED_INGBM_PARAMETERS[dataset]
         print(f"  ingbm parameters (ours vs reported): "
               f"a={best.params.theta_L[0, 0]:.4f}/{reported['a']}, "
@@ -699,10 +665,8 @@ def cmd_reproduce(args) -> int:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("dataset,step,year,ours,reported,delta\n")
             for dataset in ("sewage", "water"):
-                _, fits = _reproduce_dataset(dataset)
-                horizon = 15 - TRAIN_SIZE + 3
-                forecast = forecast_fit(fits["ingbm"], horizon)
-                ours = forecast.fitted_and_forecast[-3:, 0]
+                _, projection = reproduce_benchmark(dataset)
+                ours = projection.fitted_and_forecast[-3:, 0]
                 reported = REPORTED_FORECASTS[dataset]
                 print(f"{dataset}: 2019-2021 forecast "
                       f"ours={np.round(ours, 2).tolist()} reported={list(reported)}")

@@ -21,6 +21,7 @@ from .core import (
     ConfigError,
     DomainError,
     FitResult,
+    Forecast,
     GreyModelError,
     METHOD_INTEGRAL_MATCHING,
     METHOD_INTEGRAL_MATCHING_POWER,
@@ -228,7 +229,7 @@ def fit_matching_power(ts: TimeSeries, spec: ModelSpec) -> FitResult:
 def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
                       search_range: Tuple[float, float] = (0.0, 2.0),
                       step: float = 0.01,
-                      split: Optional[int] = None) -> Tuple[float, FitResult]:
+                      split: Optional[int] = None) -> Tuple[float, FitResult, Forecast]:
     """Grid search over the power exponent, scored by forecasting error.
 
     With ``split`` given, each candidate is fitted on the first ``split``
@@ -239,7 +240,9 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
     ``forecast_fit``.  Candidates whose fit or forecast fails are skipped;
     exact ties go to the smaller exponent.
 
-    Returns the winning exponent and its (training-segment) fit.
+    Returns the winning exponent, its (training-segment) fit, and its forecast
+    from that pass: the fitted values plus the held-out stamps with a split,
+    the fitted values alone without one.
     """
     lo, hi = float(search_range[0]), float(search_range[1])
     if not hi > lo or step <= 0.0:
@@ -268,13 +271,13 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
             continue
     # a trajectory that left the domain is flagged as blown up too
     forecasts, _ = forecast_power_fits(fits, horizon, future_times=future)
-    best: Optional[Tuple[float, FitResult]] = None
+    best: Optional[Tuple[float, FitResult, Forecast]] = None
     for fit, forecast in zip(fits, forecasts):
         if forecast.blown_up:
             continue
         score = score_of(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
         if np.isfinite(score) and (best is None or score < best[0]):
-            best = (score, fit)
+            best = (score, fit, forecast)
     if best is None:
         raise GreyModelError("every exponent candidate failed to fit or forecast")
-    return best[1].spec.basis.gamma, best[1]
+    return best[1].spec.basis.gamma, best[1], best[2]

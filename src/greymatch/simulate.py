@@ -93,6 +93,13 @@ class ScenarioConfig:
             raise ConfigError("replications must be >= 1")
         if self.h <= 0.0 or self.T <= 0.0:
             raise ConfigError("T and h must be positive")
+        if self.n is not None and self.n < 1:
+            raise ConfigError("n must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        # the CSV writers join fields with commas and rows with newlines, unquoted
+        if any(c in self.scenario_id for c in ",\r\n"):
+            raise ConfigError(f"scenario_id {self.scenario_id!r} has a comma or line break")
         for estimator in self.estimators:
             if estimator not in KNOWN_ESTIMATORS:
                 raise ConfigError(f"unknown estimator {estimator!r}")

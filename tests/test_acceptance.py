@@ -19,10 +19,7 @@ from greymatch import (
     TimeSeries,
     cusum,
     evaluate_basis,
-    evaluation_report,
     fit_matching,
-    forecast_fit,
-    gamma_line_search,
     inverse_cusum,
     polynomial_shift_coefficients,
     quadratic_shift_matrix,
@@ -32,7 +29,6 @@ from greymatch import (
     run_monte_carlo,
     solve_grey,
     solve_reduced,
-    train_test_split,
     transform_parameters,
     verhulst_closed_form_x,
     verhulst_closed_form_y,
@@ -45,9 +41,7 @@ from greymatch.datasets import (
     REPORTED_FORECASTS,
     REPORTED_INGBM_PARAMETERS,
     REPORTED_MAPE,
-    TRAIN_SIZE,
-    sewage_discharge,
-    water_use,
+    reproduce_benchmark,
 )
 
 GREY = "grey_twostep"
@@ -247,41 +241,13 @@ def test_criterion_06_two_species_monte_carlo():
 
 
 @pytest.fixture(scope="module")
-def sewage_fits():
-    ts = sewage_discharge()
-    train, test = train_test_split(ts, TRAIN_SIZE)
-    results = {}
-    fit = fit_matching(train, verhulst_spec())
-    forecast = forecast_fit(fit, test.n, future_times=test.times)
-    results["igvm"] = (None, fit, evaluation_report(ts, forecast.fitted_and_forecast,
-                                                    TRAIN_SIZE))
-    for model, family in (("ingm", "ingm"), ("ingbm", "ingbm")):
-        gamma, fit = gamma_line_search(ts, family, (0.0, 2.0), 0.01, split=TRAIN_SIZE)
-        forecast = forecast_fit(fit, test.n, future_times=test.times)
-        results[model] = (gamma, fit,
-                          evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE))
-    return results
+def yearly():
+    return {name: reproduce_benchmark(name) for name in ("sewage", "water")}
 
 
-@pytest.fixture(scope="module")
-def water_fits():
-    ts = water_use()
-    train, test = train_test_split(ts, TRAIN_SIZE)
-    results = {}
-    fit = fit_matching(train, verhulst_spec())
-    forecast = forecast_fit(fit, test.n, future_times=test.times)
-    results["igvm"] = (None, fit, evaluation_report(ts, forecast.fitted_and_forecast,
-                                                    TRAIN_SIZE))
-    for model, family in (("ingm", "ingm"), ("ingbm", "ingbm")):
-        gamma, fit = gamma_line_search(ts, family, (0.0, 2.0), 0.01, split=TRAIN_SIZE)
-        forecast = forecast_fit(fit, test.n, future_times=test.times)
-        results[model] = (gamma, fit,
-                          evaluation_report(ts, forecast.fitted_and_forecast, TRAIN_SIZE))
-    return results
-
-
-def test_criterion_07_sewage_benchmark(sewage_fits):
-    gamma, fit, report = sewage_fits["ingbm"]
+def test_criterion_07_sewage_benchmark(yearly):
+    models, _ = yearly["sewage"]
+    gamma, fit, _, report = models["ingbm"]
     reported = REPORTED_MAPE["sewage"]["ingbm"]
     assert abs(gamma - 1.0) < 1e-9
     assert abs(report.mape_train - reported[0]) <= 0.5
@@ -291,32 +257,31 @@ def test_criterion_07_sewage_benchmark(sewage_fits):
     assert abs(fit.params.theta_N[0, 0] - params["b"]) / abs(params["b"]) <= 0.20
     assert abs(fit.params.eta[0] - params["eta"]) / params["eta"] <= 0.20
 
-    _, _, ingm_report = sewage_fits["ingm"]
+    _, _, _, ingm_report = models["ingm"]
     assert abs(ingm_report.mape_test - REPORTED_MAPE["sewage"]["ingm"][1]) <= 0.5
-    _, _, igvm_report = sewage_fits["igvm"]
+    _, _, _, igvm_report = models["igvm"]
     assert abs(igvm_report.mape_test - REPORTED_MAPE["sewage"]["igvm"][1]) <= 1.0
     report_pass(7, f"sewage benchmark: exponent {gamma:.2f}, "
                    f"fit/forecast errors {report.mape_train:.2f}/{report.mape_test:.2f}%, "
                    f"parameters within 20%")
 
 
-def test_criterion_08_water_benchmark(water_fits):
-    gamma, fit, report = water_fits["ingbm"]
+def test_criterion_08_water_benchmark(yearly):
+    models, _ = yearly["water"]
+    gamma, _, _, report = models["ingbm"]
     assert abs(gamma - 0.63) <= 0.05
     assert abs(report.mape_test - REPORTED_MAPE["water"]["ingbm"][1]) <= 0.5
-    _, _, igvm_report = water_fits["igvm"]
+    _, _, _, igvm_report = models["igvm"]
     assert abs(igvm_report.mape_train - REPORTED_MAPE["water"]["igvm"][0]) <= 0.3
     report_pass(8, f"water benchmark: exponent {gamma:.2f}, forecast error "
                    f"{report.mape_test:.2f}%, baseline fit error "
                    f"{igvm_report.mape_train:.2f}%")
 
 
-def test_criterion_09_three_step_forecasts(sewage_fits, water_fits):
-    horizon = 15 - TRAIN_SIZE + 3
-    for dataset, fits in (("sewage", sewage_fits), ("water", water_fits)):
-        _, fit, _ = fits["ingbm"]
-        forecast = forecast_fit(fit, horizon)
-        ours = forecast.fitted_and_forecast[-3:, 0]
+def test_criterion_09_three_step_forecasts(yearly):
+    for dataset, (_, projection) in yearly.items():
+        assert projection.times.size == 15 + 3
+        ours = projection.fitted_and_forecast[-3:, 0]
         for value, reported in zip(ours, REPORTED_FORECASTS[dataset]):
             assert abs(value - reported) / reported <= 0.01, (dataset, value, reported)
     report_pass(9, "2019-2021 projections match the reported values within 1%")

@@ -9,6 +9,9 @@ from greymatch.cli import _load_scenarios, main, read_timeseries_csv
 from greymatch.simulate import ScenarioConfig
 from greymatch.datasets import SEWAGE_VALUES
 
+SCENARIO = {"scenario_id": "tiny", "model": "verhulst", "T": 2.0, "h": 0.1,
+            "noise_level": 0.10, "replications": 5, "seed": 7}
+
 
 def write_csv(path, times, values):
     with open(path, "w") as handle:
@@ -117,6 +120,15 @@ class TestFitCommand:
         assert main(["fit", str(path), "--model", "ingbm", "--gamma", "0.5",
                      "--out-dir", str(tmp_path / "o5")]) == 5
 
+    def test_domain_error_in_the_fitted_values_writes_error_fit_json(self, tmp_path):
+        # the fit succeeds (x(t1) + x~ > 0 on the first 6 samples), its trajectory leaves y > 0
+        path = tmp_path / "falling.csv"
+        write_csv(path, range(1, 9), [5.0, 3.0, 1.0, -1.0, -3.0, -5.0, -7.0, -9.0])
+        out = tmp_path / "o5"
+        assert main(["fit", str(path), "--model", "ingbm", "--gamma", "0.5", "--split", "6",
+                     "--out-dir", str(out)]) == 5
+        assert json.loads((out / "fit.json").read_text())["error"]["exit_code"] == 5
+
     def test_flag_consistency_exit_6(self, sewage_csv, tmp_path):
         out = str(tmp_path / "o6")
         assert main(["fit", sewage_csv, "--model", "igvm", "--gamma", "0.5",
@@ -217,9 +229,7 @@ class TestForecastCommand:
 
 class TestMcCommand:
     def scenario_file(self, tmp_path, **overrides):
-        doc = {"scenario_id": "tiny", "model": "verhulst", "T": 2.0, "h": 0.1,
-               "noise_level": 0.10, "replications": 5, "seed": 7}
-        doc.update(overrides)
+        doc = dict(SCENARIO, **overrides)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         return str(path)
@@ -319,3 +329,30 @@ class TestReproduceCommand:
         assert set(rows) == {"igvm", "ingm", "ingbm"}
         # delta columns stay small for the sewage benchmark
         assert abs(float(rows["ingbm"][7])) < 0.5
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["fit", "forecast", "mc"])
+    def test_undecodable_file_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe" + "t,x1\n1,2\n".encode("utf-16-le"))
+        argv = {"fit": ["fit", str(path), "--model", "igvm"],
+                "forecast": ["forecast", str(path), "--horizon", "1"],
+                "mc": ["mc", str(path)]}[command]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert "can't decode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, code, named", [
+        ("forecast", 5, 2, "malformed fit document"),
+        ("mc", [5], 6, "[0]"),
+        ("mc", dict(SCENARIO, truth=5), 6, "'truth'"),
+        ("mc", dict(SCENARIO, estimators=5), 6, "'estimators'"),
+        ("mc", dict(SCENARIO, n="x"), 6, "'n'"),
+    ], ids=["fit_number", "scenario_list_of_number", "truth_number", "estimators_number",
+            "n_string"])
+    def test_json_of_the_wrong_shape(self, tmp_path, capsys, command, doc, code, named):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)] + (["--horizon", "1"] if command == "forecast" else [])
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
+        assert named in capsys.readouterr().err

@@ -287,7 +287,10 @@ def count_power_fits(monkeypatch):
 
 
 def serial_search(ts, family, lo, hi, step, split):
-    """Reference exponent search: fit, forecast and score one candidate at a time."""
+    """Reference exponent search: fit, forecast and score one candidate at a time.
+
+    Returns the winning exponent, its fit and its own ``forecast_fit``.
+    """
     train, test = train_test_split(ts, split)
     best = None
     for i in range(int(round((hi - lo) / step)) + 1):
@@ -301,8 +304,8 @@ def serial_search(ts, family, lo, hi, step, split):
             continue
         score = integral_matching.mape(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
         if np.isfinite(score) and (best is None or score < best[0]):
-            best = (score, gamma, fit)
-    return best[1], best[2]
+            best = (score, gamma, fit, forecast)
+    return best[1:]
 
 
 def assert_same_fit(a, b):
@@ -314,12 +317,19 @@ def assert_same_fit(a, b):
     assert np.array_equal(a.times, b.times)
 
 
+def assert_same_forecast(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.fitted_and_forecast, b.fitted_and_forecast)
+    assert a.horizon == b.horizon
+    assert a.blown_up == b.blown_up and a.blowup_index == b.blowup_index
+
+
 class TestGammaSearch:
     def test_grid_count_and_winner(self, monkeypatch):
         calls = count_power_fits(monkeypatch)
         ts = sewage_discharge()
-        gamma, fit = gamma_line_search(ts, "ingbm", (0.9, 1.1), 0.01,
-                                       split=TRAIN_SIZE)
+        gamma, _, _ = gamma_line_search(ts, "ingbm", (0.9, 1.1), 0.01,
+                                        split=TRAIN_SIZE)
         assert len(calls) == 21
         assert calls[0] == 0.9 and abs(calls[-1] - 1.1) < 1e-12
         assert abs(gamma - 1.0) < 1e-9
@@ -335,16 +345,19 @@ class TestGammaSearch:
                              ids=["sewage", "water"])
     def test_matches_serial_reference(self, dataset, family):
         ts = dataset()
-        gamma, fit = gamma_line_search(ts, family, (0.0, 2.0), 0.05, split=TRAIN_SIZE)
-        ref_gamma, ref_fit = serial_search(ts, family, 0.0, 2.0, 0.05, TRAIN_SIZE)
+        gamma, fit, forecast = gamma_line_search(ts, family, (0.0, 2.0), 0.05,
+                                                 split=TRAIN_SIZE)
+        ref_gamma, ref_fit, ref_forecast = serial_search(ts, family, 0.0, 2.0, 0.05,
+                                                         TRAIN_SIZE)
         assert gamma == ref_gamma
         assert_same_fit(fit, ref_fit)
+        assert_same_forecast(forecast, ref_forecast)
 
     def test_ties_go_to_the_smaller_exponent(self, monkeypatch):
         monkeypatch.setattr(integral_matching, "mape", lambda fitted, actual: 1.0)
         ts = sewage_discharge()
-        gamma, fit = gamma_line_search(ts, "ingbm", (0.5, 1.5), 0.25, split=TRAIN_SIZE)
-        ref_gamma, ref_fit = serial_search(ts, "ingbm", 0.5, 1.5, 0.25, TRAIN_SIZE)
+        gamma, fit, _ = gamma_line_search(ts, "ingbm", (0.5, 1.5), 0.25, split=TRAIN_SIZE)
+        ref_gamma, ref_fit, _ = serial_search(ts, "ingbm", 0.5, 1.5, 0.25, TRAIN_SIZE)
         assert gamma == ref_gamma == 0.5
         assert_same_fit(fit, ref_fit)
 
@@ -359,8 +372,9 @@ class TestGammaSearch:
     def test_in_sample_scoring_without_split(self):
         times = np.arange(0.0, 3.0 + 1e-9, 0.1)
         ts = TimeSeries(times, 2.0 * np.exp(0.3 * times))
-        gamma, fit = gamma_line_search(ts, "ingbm", (0.5, 1.5), 0.25)
+        gamma, fit, forecast = gamma_line_search(ts, "ingbm", (0.5, 1.5), 0.25)
         assert not forecast_fit(fit, 0).blown_up
+        assert_same_forecast(forecast, forecast_fit(fit, 0))
 
     def test_validation(self):
         ts = sewage_discharge()

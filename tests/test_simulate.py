@@ -52,6 +52,13 @@ class TestScenarioConfig:
             small_config(replications=0)
         with pytest.raises(ConfigError):
             small_config(estimators=("nope",))
+        with pytest.raises(ConfigError, match="n must"):
+            small_config(n=0)
+        with pytest.raises(ConfigError, match="seed"):
+            small_config(seed=-1)
+        for scenario_id in ("a,b", "a\nb", "a\r\nb"):
+            with pytest.raises(ConfigError, match="scenario_id"):
+                small_config(scenario_id=scenario_id)
         grey_truth = None
         from greymatch import reduced_to_grey
         grey_truth = reduced_to_grey(truth, spec)
