@@ -281,6 +281,10 @@ def fit_to_json(fit: FitResult, method: str, split: Optional[int],
 def _fit_from_json(doc: dict):
     spec = _spec_from_json(doc["spec"])
     times = np.array(doc["times"], dtype=float)
+    if times.ndim != 1 or times.size < 2 or not np.all(np.diff(times) > 0):
+        raise ValueError("'times' must be a list of at least two increasing numbers")
+    if not isinstance(doc["diagnostics"], dict):
+        raise TypeError("'diagnostics' must be an object")
     if doc["method_tag"] == METHOD_GREY_TWOSTEP:
         block = doc["grey"]
         params = ParameterSet(block["theta_L"], block["theta_N"], block["eta"],
@@ -497,6 +501,10 @@ def _require_key(doc: dict, key: str, kind, context: str):
     if key not in doc:
         raise ConfigError(f"{context}: missing key {key!r}")
     value = doc[key]
+    # int() would truncate 2.9 and accept true; only an integral number is a count
+    if kind is int and (isinstance(value, bool) or not isinstance(value, (int, float))
+                        or not float(value).is_integer()):
+        raise ConfigError(f"{context}: key {key!r} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:

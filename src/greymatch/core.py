@@ -113,17 +113,29 @@ class TimeSeries:
 # ---------------------------------------------------------------------------
 
 class NonlinearBasis:
-    """A vector of nonlinear monomials N(y): R^d -> R^p with analytic Jacobian."""
+    """A vector of nonlinear monomials N(y): R^d -> R^p with analytic Jacobian.
+
+    Both methods take a batch of B states as a (B, d) array.  They are built
+    from elementwise products only: integer powers by repeated
+    multiplication, with no numpy ``power``, no matrix product and no
+    scattered accumulation, so row i of the result depends on state i alone,
+    bit for bit, whatever the other rows are.
+    """
 
     dimension: int
     size: int
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
+        """The (B, p) values N(y) of a (B, d) batch of states."""
         raise NotImplementedError
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
-        """The (p, d) Jacobian dN/dy at y."""
+        """The (B, p, d) Jacobians dN/dy of a (B, d) batch of states."""
         raise NotImplementedError
+
+
+def _stack_columns(columns) -> np.ndarray:
+    return columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
 
 
 @dataclass(frozen=True)
@@ -135,7 +147,6 @@ class PolynomialUnivariate(NonlinearBasis):
     def __post_init__(self):
         if self.max_degree < 2:
             raise ValueError("max_degree must be >= 2")
-        object.__setattr__(self, "_exponents", np.arange(2, self.max_degree + 1))
 
     @property
     def dimension(self) -> int:
@@ -146,16 +157,30 @@ class PolynomialUnivariate(NonlinearBasis):
         return self.max_degree - 1
 
     def evaluate(self, y):
-        return float(y[0]) ** self._exponents
+        power = y * y
+        columns = [power]
+        for _ in range(3, self.max_degree + 1):
+            power = power * y
+            columns.append(power)
+        return _stack_columns(columns)
 
     def jacobian(self, y):
-        e = self._exponents
-        return (e * float(y[0]) ** (e - 1)).reshape(self.size, 1)
+        # d/dy y^e = e y^(e - 1)
+        power = y
+        columns = [2.0 * y]
+        for e in range(3, self.max_degree + 1):
+            power = power * y
+            columns.append(e * power)
+        return _stack_columns(columns)[:, :, None]
 
 
 @dataclass(frozen=True)
 class PowerUnivariate(NonlinearBasis):
-    """N(y) = [y^gamma] for a scalar state; y must be positive unless gamma is integer."""
+    """N(y) = [y^gamma] for a scalar state; y must be positive unless gamma is integer.
+
+    The power is Python's ``float ** float`` (libm ``pow``), taken row by row,
+    which numpy's vectorised power does not always reproduce.
+    """
 
     gamma: float
 
@@ -173,15 +198,19 @@ class PowerUnivariate(NonlinearBasis):
                 f"power basis with gamma={self.gamma} requires a positive argument, got {v}"
             )
 
+    def _states(self, y) -> list:
+        # the (B, 1) batch as Python floats, each checked against the domain
+        states = y.ravel().tolist()
+        for v in states:
+            self._check_domain(v)
+        return states
+
     def evaluate(self, y):
-        v = float(y[0])
-        self._check_domain(v)
-        return np.array([v ** self.gamma])
+        return np.array([v ** self.gamma for v in self._states(y)]).reshape(-1, 1)
 
     def jacobian(self, y):
-        v = float(y[0])
-        self._check_domain(v)
-        return np.array([[self.gamma * v ** (self.gamma - 1.0)]])
+        return np.array([self.gamma * v ** (self.gamma - 1.0)
+                         for v in self._states(y)]).reshape(-1, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -214,29 +243,33 @@ class QuadraticMultivariate(NonlinearBasis):
         return self.d * (self.d + 1) // 2
 
     def evaluate(self, y):
-        y = np.asarray(y, dtype=float)
-        return y[self._ii] * y[self._jj]
+        return y.take(self._ii, axis=1) * y.take(self._jj, axis=1)
 
     def jacobian(self, y):
-        y = np.asarray(y, dtype=float)
-        jac = np.zeros((self.size, self.d))
+        jac = np.zeros((y.shape[0], self.size, self.d))
         rows = np.arange(self.size)
-        # i == j rows accumulate twice, giving the correct 2*y_i diagonal entry
-        np.add.at(jac, (rows, self._ii), y[self._jj])
-        np.add.at(jac, (rows, self._jj), y[self._ii])
+        # each (row, column) pair appears once per assignment; for i == j the
+        # second one adds to the first, giving the 2*y_i diagonal entry
+        jac[:, rows, self._ii] = y.take(self._jj, axis=1)
+        jac[:, rows, self._jj] += y.take(self._ii, axis=1)
         return jac
 
 
 def evaluate_basis(basis: Optional[NonlinearBasis], y) -> np.ndarray:
-    """Evaluate N(y) in the basis' fixed monomial order (empty for basis=None)."""
+    """Evaluate N at one state (d,) or a batch of states (B, d), checking the states.
+
+    Returns (p,) or (B, p) in the basis' fixed monomial order (p = 0 for basis=None).
+    """
+    y = np.asarray(y, dtype=float)
+    rows = np.atleast_2d(y)
     if basis is None:
-        return np.zeros(0)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size != basis.dimension:
-        raise ValueError(f"state has size {y.size}, basis expects {basis.dimension}")
-    if not np.all(np.isfinite(y)):
+        return np.zeros((rows.shape[0], 0)) if y.ndim == 2 else np.zeros(0)
+    if rows.ndim != 2 or rows.shape[1] != basis.dimension:
+        raise ValueError(f"state has shape {y.shape}, basis expects {basis.dimension} values")
+    if not np.all(np.isfinite(rows)):
         raise ValueError("state must be finite")
-    return basis.evaluate(y)
+    values = basis.evaluate(rows)
+    return values if y.ndim == 2 else values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +359,7 @@ class ModelSpec:
         proxy; ``nonlinear`` replaces N(states) when the caller has its own.
         """
         if nonlinear is None:
-            nonlinear = np.vstack([evaluate_basis(self.basis, row) for row in states])
+            nonlinear = evaluate_basis(self.basis, states)
         return self._columns(states, nonlinear, np.ones((states.shape[0], 1)))
 
     def unpack(self, coef: np.ndarray):

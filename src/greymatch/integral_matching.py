@@ -37,7 +37,7 @@ from .core import (
 )
 from .grey_twostep import masked_row_solve
 from .metrics import mape, rmse, train_test_split
-from .ode import forecast_power_fits
+from .ode import forecast_fits
 from .transform import trapezoid_cumulative
 
 FAMILY_INGM = "ingm"      # power term only, no linear term
@@ -236,7 +236,7 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
     samples and scored by the MAPE of its fitted-plus-forecast trajectory over
     the whole series (the held-out stamps entered as true forecasts); without
     a split the in-sample RMSE is used.  Every fitted candidate is integrated
-    in one batched pass (``forecast_power_fits``), each row bitwise its own
+    in one batched pass (``forecast_fits``), each row bitwise its own
     ``forecast_fit``.  Candidates whose fit or forecast fails are skipped;
     exact ties go to the smaller exponent.
 
@@ -270,7 +270,7 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
         except GreyModelError:
             continue
     # a trajectory that left the domain is flagged as blown up too
-    forecasts, _ = forecast_power_fits(fits, horizon, future_times=future)
+    forecasts, _ = forecast_fits(fits, horizon, future_times=future)
     best: Optional[Tuple[float, FitResult, Forecast]] = None
     for fit, forecast in zip(fits, forecasts):
         if forecast.blown_up:

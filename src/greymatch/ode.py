@@ -6,8 +6,10 @@ of substeps per sampling interval; determinism matters more than adaptivity
 here because the Monte Carlo harness must be exactly reproducible.  Divergence
 is detected with an overflow guard and reported via a flag, never an
 unhandled NaN.  It also integrates a batch of independent states in one pass,
-flagging each row on its own; reduced power-family fits that share a grid are
-forecast that way.
+flagging each row on its own.  The model fields are written over such a batch
+of fits that share a spec, with explicit sums and no matrix products, so a
+fit forecast alone is the one-row case of a batch and equals its row there
+bit for bit.
 """
 
 from __future__ import annotations
@@ -140,45 +142,83 @@ def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajec
                       row_blowup_index=first_bad if state.ndim == 2 else None)
 
 
-def grey_rhs(spec: ModelSpec, params: ParameterSet) -> VectorField:
-    """Vector field of the cumulative-state model dy/dt = theta_L y + theta_N N(y) + beta."""
-    theta_L = params.theta_L
-    theta_N = params.theta_N
-    beta = params.beta_or_zero()
+def _batch(params) -> List[ParameterSet]:
+    return [params] if isinstance(params, ParameterSet) else list(params)
+
+
+def _coefficients(batch: Sequence[ParameterSet]) -> List[np.ndarray]:
+    """Column c of [theta_L | theta_N] of B parameter sets, as one (B, d) array per c."""
+    coef = np.stack([np.hstack([p.theta_L, p.theta_N]) for p in batch])
+    return [np.ascontiguousarray(coef[:, :, c]) for c in range(coef.shape[2])]
+
+
+def _combine(coef: Sequence[np.ndarray], *blocks: np.ndarray) -> np.ndarray:
+    """sum_c coef[c] * z_c over the columns z_c of the (B, .) blocks, summed in order.
+
+    An explicit elementwise sum rather than a matrix product, whose rounding
+    depends on the shapes involved: row i reads row i of the blocks alone.
+    """
+    out, c = None, 0
+    for block in blocks:
+        for k in range(block.shape[1]):
+            # a one-column block is its own column: no slice on the scalar models' hot path
+            term = coef[c] * (block if block.shape[1] == 1 else block[:, k:k + 1])
+            out = term if out is None else out + term
+            c += 1
+    return out
+
+
+def grey_rhs(spec: ModelSpec, params) -> VectorField:
+    """Vector field of the cumulative-state model dy/dt = theta_L y + theta_N N(y) + beta.
+
+    ``params`` is one parameter set or a sequence of B sets sharing ``spec``;
+    the field maps a (B, d) batch of states, row i under set i, to its
+    (B, d) derivatives, each an explicit sum over the d + p columns.
+    """
+    batch = _batch(params)
+    coef = _coefficients(batch)
+    beta = np.stack([p.beta_or_zero() for p in batch])
     basis = spec.basis
     if basis is None:
-        return lambda t, y: theta_L @ y + beta
+        return lambda t, y: _combine(coef, y) + beta
 
     def rhs(t, y):
-        return theta_L @ y + theta_N @ basis.evaluate(y) + beta
+        return _combine(coef, y, basis.evaluate(y)) + beta
 
     return rhs
 
 
-def reduced_augmented_rhs(spec: ModelSpec, params: ParameterSet) -> VectorField:
+def reduced_augmented_rhs(spec: ModelSpec, params) -> VectorField:
     """Vector field of the reduced model as a first-order system on (x, y).
 
     The running integral y(t) = eta + int x is carried as extra state, so the
     chain-rule term d/dt N(y) = J_N(y) x uses the analytic basis Jacobian:
 
         dx/dt = theta_L x + theta_N J_N(y) x,   dy/dt = x.
+
+    ``params`` is one reduced-form parameter set or a sequence of B sets
+    sharing ``spec``; the field maps a (B, 2d) batch of rows [x, y] to their
+    derivatives, with J_N(y) x and dx/dt as explicit sums.
     """
-    if params.form != REDUCED_FORM:
+    batch = _batch(params)
+    if any(p.form != REDUCED_FORM for p in batch):
         raise ValueError("expected reduced-form parameters")
     d = spec.dimension
-    theta_L = params.theta_L
-    theta_N = params.theta_N
+    coef = _coefficients(batch)
     basis = spec.basis
     if basis is None:
         def rhs(t, u):
-            x = u[:d]
-            return np.concatenate([theta_L @ x, x])
+            x = u[:, :d]
+            return np.concatenate([_combine(coef, x), x], axis=1)
         return rhs
 
     def rhs(t, u):
-        x = u[:d]
-        dx = theta_L @ x + theta_N @ (basis.jacobian(u[d:]) @ x)
-        return np.concatenate([dx, x])
+        x = u[:, :d]
+        jac = basis.jacobian(u[:, d:])
+        jx = jac[:, :, 0] * x[:, :1]
+        for k in range(1, d):
+            jx = jx + jac[:, :, k] * x[:, k:k + 1]
+        return np.concatenate([_combine(coef, x, jx), x], axis=1)
 
     return rhs
 
@@ -188,21 +228,26 @@ def reduced_initial_state(params: ParameterSet) -> np.ndarray:
     return np.concatenate([params.initial_state(), params.eta])
 
 
+def _one_row(traj: Trajectory) -> Trajectory:
+    return Trajectory(traj.times, traj.states[:, 0], traj.blown_up, traj.blowup_index)
+
+
 def solve_grey(spec: ModelSpec, params: ParameterSet, times,
                substeps: Optional[int] = None) -> Trajectory:
-    """Cumulative-state trajectory of the grey model from eta."""
+    """Cumulative-state trajectory of the grey model from eta (a batch of one row)."""
     if substeps is None:
         substeps = default_substeps(times)
-    return rk4_integrate(grey_rhs(spec, params), params.eta, times, substeps)
+    return _one_row(rk4_integrate(grey_rhs(spec, params), [params.eta], times, substeps))
 
 
 def solve_reduced(spec: ModelSpec, params: ParameterSet, times,
                   substeps: Optional[int] = None) -> Trajectory:
-    """Trajectory of the reduced augmented system; columns 0..d-1 hold x, d..2d-1 hold y."""
+    """Trajectory of the reduced augmented system (a batch of one row); columns
+    0..d-1 hold x, d..2d-1 hold y."""
     if substeps is None:
         substeps = default_substeps(times)
     rhs = reduced_augmented_rhs(spec, params)
-    return rk4_integrate(rhs, reduced_initial_state(params), times, substeps)
+    return _one_row(rk4_integrate(rhs, [reduced_initial_state(params)], times, substeps))
 
 
 def extend_times(times: np.ndarray, horizon: int,
@@ -266,28 +311,70 @@ def power_batch_rhs(fits: Sequence[FitResult]) -> Tuple[VectorField, np.ndarray]
     return rhs, left_domain
 
 
-def forecast_power_fits(fits: Sequence[FitResult], horizon: int,
-                        future_times=None) -> Tuple[List[Forecast], np.ndarray]:
-    """Forecast reduced power-family fits on one shared grid in one batched RK4 pass.
+def _forecast_batch(fits: Sequence[FitResult], grid: np.ndarray,
+                    horizon: int) -> Tuple[List[Optional[Forecast]], List[bool]]:
+    """Forecast fits of one route in one RK4 pass: reduced power-family fits of
+    any exponent, or fits that share one spec and one form."""
+    spec, params = fits[0].spec, [fit.params for fit in fits]
+    grey = params[0].form == GREY_FORM
+    if _is_power_reduced(fits[0]):
+        rhs, left_domain = power_batch_rhs(fits)
+        initial = [(p.initial_state()[0], p.eta[0]) for p in params]
+    else:
+        left_domain = np.zeros(len(fits), dtype=bool)  # these fields raise instead
+        if grey:
+            rhs, initial = grey_rhs(spec, params), [p.eta for p in params]
+        else:
+            rhs = reduced_augmented_rhs(spec, params)
+            initial = [reduced_initial_state(p) for p in params]
+    try:
+        traj = rk4_integrate(rhs, initial, grid, default_substeps(grid))
+    except DomainError:
+        # a basis raises for the whole batch; each row alone shows which left its domain
+        if len(fits) == 1:
+            return [None], [True]
+        rows = [_forecast_batch([fit], grid, horizon) for fit in fits]
+        return [f for (f,), _ in rows], [left for _, (left,) in rows]
+    forecasts = []
+    for i, k in enumerate(traj.row_blowup_index.tolist()):
+        states = traj.states[:, i]
+        x = difference_cumulative(grid, states) if grey else states[:, :spec.dimension]
+        forecasts.append(Forecast(grid, x, horizon, blown_up=k >= 0,
+                                  blowup_index=k if k >= 0 else None))
+    return forecasts, left_domain.tolist()
 
-    Returns one forecast per fit, each bitwise the one the fit gets alone,
-    and a mask of the fits whose trajectory left the basis' domain; those
-    are flagged as blown up instead of raising, so the others carry on.
+
+def forecast_fits(fits: Sequence[FitResult], horizon: int,
+                  future_times=None) -> Tuple[List[Optional[Forecast]], np.ndarray]:
+    """Forecast fits on one shared grid, extended by ``horizon`` stamps, in batched passes.
+
+    Reduced power-family fits go through ``power_batch_rhs`` together; every
+    other group of fits sharing one spec and one form goes through its field
+    (``grey_rhs``, ``reduced_augmented_rhs``) in one RK4 pass.  Each forecast
+    is bitwise the one its fit gets alone, so the result depends neither on
+    the batch's size nor on its other members.
+
+    Returns the forecasts in input order and a mask of the fits whose
+    trajectory left the basis' domain; those never raise, so the others carry
+    on.  A reduced power-family row that left is flagged as blown up where it
+    left; a grey-form row, whose basis raises mid-pass, has no forecast (None).
     """
     if not fits:
         return [], np.zeros(0, dtype=bool)
     for fit in fits:
-        if not _is_power_reduced(fit):
-            raise ConfigError("the batched forecast takes reduced power-family fits only")
         if not np.array_equal(fit.times, fits[0].times):
             raise ConfigError("the batched forecast needs fits on one shared grid")
     grid = extend_times(fits[0].times, horizon, future_times)
-    rhs, left_domain = power_batch_rhs(fits)
-    initial = [(fit.params.initial_state()[0], fit.params.eta[0]) for fit in fits]
-    traj = rk4_integrate(rhs, initial, grid, default_substeps(grid))
-    forecasts = [Forecast(grid, traj.states[:, i, :1], horizon, blown_up=k >= 0,
-                          blowup_index=k if k >= 0 else None)
-                 for i, k in enumerate(traj.row_blowup_index.tolist())]
+    groups = {}
+    for i, fit in enumerate(fits):
+        key = "power" if _is_power_reduced(fit) else (fit.spec, fit.params.form)
+        groups.setdefault(key, []).append(i)
+    forecasts: List[Optional[Forecast]] = [None] * len(fits)
+    left_domain = np.zeros(len(fits), dtype=bool)
+    for rows in groups.values():
+        group, left = _forecast_batch([fits[i] for i in rows], grid, horizon)
+        for i, forecast, flag in zip(rows, group, left):
+            forecasts[i], left_domain[i] = forecast, flag
     return forecasts, left_domain
 
 
@@ -296,25 +383,16 @@ def forecast_fit(fit: FitResult, horizon: int, future_times=None) -> Forecast:
 
     Grey-form fits integrate the cumulative model and difference back to the
     original scale; reduced-form fits integrate the augmented system and read
-    the original state off directly, power-family ones as a batch of one
-    (``forecast_power_fits``).
+    the original state off directly.  This is the one-row case of
+    ``forecast_fits``, except that a trajectory leaving the basis' domain
+    raises ``DomainError``.
     """
-    if _is_power_reduced(fit):
-        (forecast,), left_domain = forecast_power_fits([fit], horizon, future_times)
-        if left_domain[0]:
-            left_at = forecast.times[forecast.blowup_index]
-            raise DomainError(f"power basis with gamma={fit.spec.basis.gamma} requires a "
-                              f"positive argument; the trajectory left y > 0 by t={left_at:g}")
-        return forecast
-    grid = extend_times(fit.times, horizon, future_times)
-    if fit.params.form == GREY_FORM:
-        traj = solve_grey(fit.spec, fit.params, grid)
-        x = difference_cumulative(grid, traj.states)
-    else:
-        traj = solve_reduced(fit.spec, fit.params, grid)
-        x = traj.states[:, :fit.spec.dimension]
-    return Forecast(grid, x, horizon, blown_up=traj.blown_up,
-                    blowup_index=traj.blowup_index)
+    (forecast,), left_domain = forecast_fits([fit], horizon, future_times)
+    if left_domain[0]:
+        where = "" if forecast is None else \
+            f" by t={forecast.times[forecast.blowup_index]:g}"
+        raise DomainError(f"the trajectory left the domain of the basis {fit.spec.basis}{where}")
+    return forecast
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .core import (
 from .grey_twostep import GreyFitConfig, fit_grey
 from .integral_matching import fit_matching
 from .metrics import rmse
-from .ode import forecast_fit, solve_reduced
+from .ode import forecast_fits, solve_reduced
 
 KNOWN_ESTIMATORS = (METHOD_GREY_TWOSTEP, METHOD_INTEGRAL_MATCHING)
 
@@ -47,6 +47,10 @@ STATUS_SINGULAR = "singular_design"
 STATUS_DOMAIN = "domain_error"
 STATUS_INITIAL = "initial_value_error"
 STATUS_ERROR = "error"
+
+#: replications fitted and forecast together; a fixed size, so the cut into
+#: chunks does not depend on the worker count (nor a report on the size)
+CHUNK_SIZE = 50
 
 REPORT_COLUMNS = ("scenario_id", "estimator", "replication", "name", "value", "status")
 SUMMARY_COLUMNS = ("scenario_id", "estimator", "name", "count", "failures",
@@ -239,56 +243,67 @@ def _classify_failure(exc: Exception) -> str:
     return STATUS_ERROR
 
 
-def _run_estimator(estimator: str, noisy: TimeSeries, config: ScenarioConfig,
-                   rep: int) -> List[Record]:
-    sid = config.scenario_id
-    try:
-        if estimator == METHOD_GREY_TWOSTEP:
-            grey_config = GreyFitConfig(initial_values=config.grey_initial_values)
-            fit = fit_grey(noisy, config.spec, grey_config)
-        else:
-            fit = fit_matching(noisy, config.spec)
-        fitted = forecast_fit(fit, 0)
-        if fitted.blown_up:
-            raise BlowUpError("fitted trajectory blew up on the sample grid")
-        fit_rmse = rmse(fitted.fitted_and_forecast, noisy.values)
-    except (GreyModelError, np.linalg.LinAlgError, ValueError) as exc:
-        # a numerical failure of one replication (a factorization that does
-        # not converge, a non-finite estimate) is recorded, never raised
-        status = _classify_failure(exc)
-        return [Record(sid, estimator, rep, "failure", float("nan"), status)]
-    records = [Record(sid, estimator, rep, name, value, STATUS_OK)
-               for name, value in common_parameters(fit)]
-    records.append(Record(sid, estimator, rep, "rmse", fit_rmse, STATUS_OK))
-    return records
+def _fit(estimator: str, noisy: TimeSeries, config: ScenarioConfig) -> FitResult:
+    if estimator == METHOD_GREY_TWOSTEP:
+        grey_config = GreyFitConfig(initial_values=config.grey_initial_values)
+        return fit_grey(noisy, config.spec, grey_config)
+    return fit_matching(noisy, config.spec)
 
 
-def _replication_records(config: ScenarioConfig, clean: TimeSeries,
-                         rep: int) -> List[Record]:
-    noisy = add_noise(clean, config.noise_level, (config.seed, rep))
-    records: List[Record] = []
-    for estimator in config.estimators:
-        records.extend(_run_estimator(estimator, noisy, config, rep))
-    return records
+def _run_estimator(estimator: str, series: Sequence[TimeSeries], config: ScenarioConfig,
+                   reps: Sequence[int]) -> List[List[Record]]:
+    """Fit every noisy series, forecast the fits in one batched pass, and return
+    the records of each replication in order."""
+    def record(i, name, value, status=STATUS_OK):
+        return Record(config.scenario_id, estimator, reps[i], name, value, status)
+
+    fits, records = {}, {}
+    for i, noisy in enumerate(series):
+        try:
+            fits[i] = _fit(estimator, noisy, config)
+        except (GreyModelError, np.linalg.LinAlgError, ValueError) as exc:
+            # a numerical failure of one replication (a factorization that does
+            # not converge, a non-finite estimate) is recorded, never raised
+            records[i] = [record(i, "failure", float("nan"), _classify_failure(exc))]
+    forecasts, left_domain = forecast_fits(list(fits.values()), 0)
+    for (i, fit), fitted, left in zip(fits.items(), forecasts, left_domain):
+        if left or fitted.blown_up:
+            status = STATUS_DOMAIN if left else STATUS_BLOW_UP
+            records[i] = [record(i, "failure", float("nan"), status)]
+            continue
+        records[i] = [record(i, name, value) for name, value in common_parameters(fit)]
+        records[i].append(record(i, "rmse", rmse(fitted.fitted_and_forecast, series[i].values)))
+    return [records[i] for i in range(len(series))]
+
+
+def _chunk_records(config: ScenarioConfig, clean: TimeSeries, reps: range) -> List[Record]:
+    series = [add_noise(clean, config.noise_level, (config.seed, rep)) for rep in reps]
+    per_estimator = [_run_estimator(estimator, series, config, reps)
+                     for estimator in config.estimators]
+    return [record for i in range(len(reps)) for records in per_estimator
+            for record in records[i]]
 
 
 def run_monte_carlo(config: ScenarioConfig, workers: int = 1) -> MonteCarloReport:
     """Run all replications of one scenario.
 
-    Per-replication failures (singular designs, trajectory blow-ups, ...)
-    become failure-marker records; they never abort the batch.  ``workers``
-    > 1 fans replications out to processes without changing the result.
+    Replications are cut by index into chunks of ``CHUNK_SIZE``; each chunk
+    fits its replications per estimator and forecasts the fits in one
+    batched pass, whose rows equal the fits forecast alone.  Per-replication
+    failures (singular designs, trajectory blow-ups, ...) become
+    failure-marker records; they never abort the batch.  ``workers`` > 1
+    fans whole chunks out to processes without changing the result.
     """
     clean = generate_clean(config)
     n = config.replications
+    chunks = [range(start, min(start + CHUNK_SIZE, n)) for start in range(0, n, CHUNK_SIZE)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_replication_records, [config] * n, [clean] * n,
-                                    range(n), chunksize=max(1, n // (workers * 4))))
+            per_chunk = list(pool.map(_chunk_records, [config] * len(chunks),
+                                      [clean] * len(chunks), chunks))
     else:
-        per_rep = [_replication_records(config, clean, rep) for rep in range(n)]
-    records = tuple(record for rep_records in per_rep for record in rep_records)
-    return MonteCarloReport(config, records)
+        per_chunk = [_chunk_records(config, clean, chunk) for chunk in chunks]
+    return MonteCarloReport(config, tuple(record for records in per_chunk for record in records))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,14 @@ from greymatch.datasets import SEWAGE_VALUES
 SCENARIO = {"scenario_id": "tiny", "model": "verhulst", "T": 2.0, "h": 0.1,
             "noise_level": 0.10, "replications": 5, "seed": 7}
 
+#: the smallest fit.json that ``forecast`` reads: a logistic integral-matching fit
+FIT_DOC = {"spec": {"dimension": 1, "basis": {"kind": "polynomial", "max_degree": 2},
+                    "include_constant": False, "include_linear": True,
+                    "theta_L_mask": None, "theta_N_mask": None},
+           "method_tag": "integral_matching",
+           "reduced": {"theta_L": [[1.2]], "theta_N": [[-0.5]], "eta": [0.4], "eta_x": [0.4]},
+           "times": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], "diagnostics": {"condition": 10.0}}
+
 
 def write_csv(path, times, values):
     with open(path, "w") as handle:
@@ -344,15 +352,37 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command, doc, code, named", [
         ("forecast", 5, 2, "malformed fit document"),
+        ("forecast", dict(FIT_DOC, diagnostics=5), 2, "malformed fit document"),
+        ("forecast", dict(FIT_DOC, times=5), 2, "malformed fit document"),
+        ("forecast", dict(FIT_DOC, times=["a", "b"]), 2, "malformed fit document"),
         ("mc", [5], 6, "[0]"),
         ("mc", dict(SCENARIO, truth=5), 6, "'truth'"),
         ("mc", dict(SCENARIO, estimators=5), 6, "'estimators'"),
         ("mc", dict(SCENARIO, n="x"), 6, "'n'"),
-    ], ids=["fit_number", "scenario_list_of_number", "truth_number", "estimators_number",
-            "n_string"])
+        ("mc", dict(SCENARIO, replications=2.9), 6, "'replications'"),
+        ("mc", dict(SCENARIO, seed=7.5), 6, "'seed'"),
+        ("mc", dict(SCENARIO, n=30.7), 6, "'n'"),
+        ("mc", dict(SCENARIO, replications=True), 6, "'replications'"),
+        ("mc", dict(SCENARIO, seed=False), 6, "'seed'"),
+    ], ids=["fit_number", "diagnostics_number", "times_number", "times_strings",
+            "scenario_list_of_number", "truth_number", "estimators_number", "n_string",
+            "replications_fraction", "seed_fraction", "n_fraction", "replications_bool",
+            "seed_bool"])
     def test_json_of_the_wrong_shape(self, tmp_path, capsys, command, doc, code, named):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
         argv = [command, str(path)] + (["--horizon", "1"] if command == "forecast" else [])
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == code
         assert named in capsys.readouterr().err
+
+    def test_well_formed_counterparts_are_accepted(self, tmp_path):
+        # the shapes above differ from these in one key only
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(FIT_DOC))
+        assert main(["forecast", str(fit_path), "--horizon", "1",
+                     "--out-dir", str(tmp_path / "forecast")]) == 0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(SCENARIO, replications=3.0, seed=7.0, n=21.0)))
+        (scenario,) = _load_scenarios(str(path), None)
+        assert (scenario.replications, scenario.seed, scenario.n) == (3, 7, 21)
+        assert type(scenario.replications) is int

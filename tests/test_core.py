@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from greymatch import (
     ConfigError,
@@ -94,14 +95,47 @@ class TestBases:
         (QuadraticMultivariate(3), [0.4, -1.2, 2.0]),
     ])
     def test_jacobian_matches_finite_differences(self, basis, point):
-        y = np.asarray(point, dtype=float)
+        # a batch of three states around the point
+        y = np.outer([1.0, 0.5, 1.7], point)
         jac = basis.jacobian(y)
+        assert jac.shape == (y.shape[0], basis.size, basis.dimension)
         eps = 1e-7
-        for j in range(y.size):
+        for j in range(y.shape[1]):
             bumped = y.copy()
-            bumped[j] += eps
+            bumped[:, j] += eps
             col = (evaluate_basis(basis, bumped) - evaluate_basis(basis, y)) / eps
-            assert np.allclose(jac[:, j], col, atol=1e-5)
+            assert np.allclose(jac[:, :, j], col, atol=1e-5)
+
+    @given(data=st.data())
+    def test_batch_rows_equal_one_row_calls(self, data):
+        basis = data.draw(st.sampled_from([
+            PolynomialUnivariate(2), PolynomialUnivariate(5), PowerUnivariate(0.63),
+            PowerUnivariate(2.0), QuadraticMultivariate(2), QuadraticMultivariate(3)]))
+        low = 1e-3 if isinstance(basis, PowerUnivariate) else -1e3
+        y = np.array(data.draw(st.lists(
+            st.lists(st.floats(low, 1e3), min_size=basis.dimension,
+                     max_size=basis.dimension), min_size=1, max_size=8)))
+        values, jac = basis.evaluate(y), basis.jacobian(y)
+        assert values.shape == (y.shape[0], basis.size)
+        assert jac.shape == (y.shape[0], basis.size, basis.dimension)
+        for i in range(y.shape[0]):
+            assert np.array_equal(values[i], basis.evaluate(y[i:i + 1])[0])
+            assert np.array_equal(jac[i], basis.jacobian(y[i:i + 1])[0])
+            assert np.array_equal(values[i], evaluate_basis(basis, y[i]))
+
+    def test_integer_powers_are_repeated_products(self):
+        y = np.array([[1.1], [-0.3]])
+        values = PolynomialUnivariate(4).evaluate(y)
+        jac = PolynomialUnivariate(4).jacobian(y)
+        for row, v in enumerate(y[:, 0]):
+            assert list(values[row]) == [v * v, v * v * v, v * v * v * v]
+            assert list(jac[row, :, 0]) == [2.0 * v, 3 * (v * v), 4 * (v * v * v)]
+
+    def test_power_batch_raises_for_any_row_out_of_domain(self):
+        with pytest.raises(DomainError):
+            PowerUnivariate(0.5).evaluate(np.array([[1.0], [-1.0]]))
+        with pytest.raises(DomainError):
+            PowerUnivariate(0.5).jacobian(np.array([[0.0], [4.0]]))
 
 
 class TestModelSpec:

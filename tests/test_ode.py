@@ -4,9 +4,12 @@ from hypothesis import given, strategies as st
 
 from greymatch import (
     BlowUpError,
+    ConfigError,
     DomainError,
     FitResult,
     GREY_FORM,
+    METHOD_GREY_TWOSTEP,
+    METHOD_INTEGRAL_MATCHING,
     METHOD_INTEGRAL_MATCHING_POWER,
     ModelSpec,
     ParameterSet,
@@ -14,10 +17,11 @@ from greymatch import (
     TimeSeries,
     fit_matching_power,
     forecast_fit,
-    forecast_power_fits,
+    forecast_fits,
     grey_rhs,
     grey_to_reduced,
     lotka_volterra_spec,
+    polynomial_spec,
     power_spec,
     reduced_augmented_rhs,
     rk4_integrate,
@@ -108,13 +112,13 @@ class TestVectorFields:
         spec = verhulst_spec()
         grey = ParameterSet([[A]], [[B]], [ETA], form=GREY_FORM)
         rhs = grey_rhs(spec, grey)
-        y = np.array([0.7])
+        y = np.array([[0.7]])
         assert np.allclose(rhs(0.0, y), A * 0.7 + B * 0.49)
 
     def test_grey_rhs_constant_only(self):
         spec = ModelSpec(1, None, include_constant=True)
         grey = ParameterSet([[0.0]], np.zeros((1, 0)), [1.0], beta=[2.5], form=GREY_FORM)
-        assert np.allclose(grey_rhs(spec, grey)(0.0, np.array([9.0])), [2.5])
+        assert np.allclose(grey_rhs(spec, grey)(0.0, np.array([[9.0]])), [2.5])
 
     def test_grey_rhs_lotka_volterra(self):
         spec = lotka_volterra_spec()
@@ -122,7 +126,7 @@ class TestVectorFields:
         theta_N = [[0.0, -0.3, 0.0], [0.0, 0.4, 0.0]]
         grey = ParameterSet(theta_L, theta_N, [5.0, 2.0 / 3.0], form=GREY_FORM)
         rhs = grey_rhs(spec, grey)
-        y = np.array([2.0, 3.0])
+        y = np.array([[2.0, 3.0]])
         expected = [1.2 * 2.0 - 0.3 * 6.0, -3.0 + 0.4 * 6.0]
         assert np.allclose(rhs(0.0, y), expected)
 
@@ -130,7 +134,7 @@ class TestVectorFields:
         spec = verhulst_spec()
         rhs = reduced_augmented_rhs(spec, verhulst_reduced_truth())
         x, y = 0.3, 0.9
-        out = rhs(0.0, np.array([x, y]))
+        out = rhs(0.0, np.array([[x, y]]))
         assert np.allclose(out, [A * x + 2.0 * B * x * y, x])
 
     def test_reduced_rhs_linear_block_only(self):
@@ -260,6 +264,40 @@ power_rows = st.tuples(st.floats(-80.0, 80.0), st.floats(-5.0, 5.0),
                        st.floats(-0.5, 3.0), st.floats(-3.0, 3.0))
 
 
+def shared_spec_fit(kind, coefs, start, times):
+    """A polynomial grey, masked-quadratic LV grey or LV reduced fit from drawn numbers."""
+    c = list(coefs)
+    if kind == "poly-grey":
+        params = ParameterSet([[c[0]]], [c[1:3]], [start[0]], beta=[c[3]], form=GREY_FORM)
+        spec, method = polynomial_spec(3, include_constant=True), METHOD_GREY_TWOSTEP
+    else:
+        spec = lotka_volterra_spec()
+        theta_L = [[c[0], 0.0], [0.0, c[1]]]
+        theta_N = [[0.0, c[2], 0.0], [0.0, c[3], 0.0]]
+        if kind == "lv-grey":
+            params = ParameterSet(theta_L, theta_N, start[:2], beta=start[2:], form=GREY_FORM)
+            method = METHOD_GREY_TWOSTEP
+        else:
+            params = ParameterSet(theta_L, theta_N, start[:2], eta_x=start[2:],
+                                  form=REDUCED_FORM)
+            method = METHOD_INTEGRAL_MATCHING
+    return FitResult(spec, params, method, np.zeros((times.size - 1, spec.dimension)),
+                     1.0, times)
+
+
+shared_spec_rows = st.tuples(st.sampled_from(["poly-grey", "lv-grey", "lv-reduced"]),
+                             st.tuples(*[st.floats(-6.0, 6.0)] * 4),
+                             st.tuples(*[st.floats(-4.0, 4.0)] * 4))
+
+
+def assert_same_forecast(batched, alone):
+    assert np.array_equal(batched.times, alone.times)
+    assert np.array_equal(batched.fitted_and_forecast, alone.fitted_and_forecast,
+                          equal_nan=True)
+    assert batched.blown_up == alone.blown_up
+    assert batched.blowup_index == alone.blowup_index
+
+
 class TestBatched:
     @given(rows=st.lists(pair_rows, min_size=1, max_size=6), n=st.integers(2, 8),
            substeps=st.integers(1, 4), data=st.data())
@@ -283,9 +321,9 @@ class TestBatched:
     def test_power_forecast_rows_equal_serial_runs(self, rows, n, horizon):
         times = 0.05 * np.arange(float(n))
         fits = [power_fit(*row, times) for row in rows]
-        forecasts, left_domain = forecast_power_fits(fits, horizon)
+        forecasts, left_domain = forecast_fits(fits, horizon)
         for fit, forecast, left in zip(fits, forecasts, left_domain):
-            (alone,), alone_left = forecast_power_fits([fit], horizon)
+            (alone,), alone_left = forecast_fits([fit], horizon)
             assert np.array_equal(forecast.fitted_and_forecast, alone.fitted_and_forecast,
                                   equal_nan=True)
             assert row_index(forecast) == row_index(alone)
@@ -305,7 +343,7 @@ class TestBatched:
         fits = [power_fit(1.0, 0.5, 0.5, 1.0, 1.0, times),     # runs to the end
                 power_fit(80.0, 5.0, 2.0, 1.0, 1.0, times),    # overflows the guard
                 power_fit(1.0, 0.5, 0.5, 0.1, -3.0, times)]    # y drops below 0
-        forecasts, left_domain = forecast_power_fits(fits, 2)
+        forecasts, left_domain = forecast_fits(fits, 2)
         assert [f.blown_up for f in forecasts] == [False, True, True]
         assert list(left_domain) == [False, False, True]
         for forecast in forecasts[1:]:
@@ -324,10 +362,68 @@ class TestBatched:
         train, test = train_test_split(dataset(), TRAIN_SIZE)
         fits = [fit_matching_power(train, power_family_spec(family, 0.25 * i))
                 for i in range(1, 9)]
-        forecasts, left_domain = forecast_power_fits(fits, test.n, test.times)
+        forecasts, left_domain = forecast_fits(fits, test.n, test.times)
         assert not left_domain.any()
         grid = extend_times(train.times, test.n, test.times)
         for fit, forecast in zip(fits, forecasts):
             traj = solve_reduced(fit.spec, fit.params, grid)
             assert np.array_equal(forecast.fitted_and_forecast, traj.states[:, :1])
             assert forecast.blown_up == traj.blown_up
+
+    @given(rows=st.lists(shared_spec_rows, min_size=1, max_size=7), n=st.integers(2, 6),
+           horizon=st.integers(0, 2))
+    def test_forecast_rows_equal_forecast_fit_alone(self, rows, n, horizon):
+        times = 0.05 * np.arange(float(n))
+        fits = [shared_spec_fit(kind, coefs, start, times) for kind, coefs, start in rows]
+        forecasts, left_domain = forecast_fits(fits, horizon)
+        assert not left_domain.any()
+        for fit, forecast in zip(fits, forecasts):
+            assert_same_forecast(forecast, forecast_fit(fit, horizon))
+
+    def test_blown_up_rows_in_a_shared_spec_batch(self):
+        times = 0.05 * np.arange(11.0)
+        rows = [("poly-grey", (1.0, -0.5, 0.0, 0.1), (0.4,)),      # logistic, runs
+                ("poly-grey", (0.0, 6.0, 6.0, 0.0), (4.0,)),       # finite-time pole
+                ("lv-grey", (1.2, -1.0, -0.3, 0.4), (5.0, 0.7, 0.1, 0.0)),
+                ("lv-grey", (6.0, 6.0, 6.0, 6.0), (4.0, 4.0, 1.0, 1.0)),
+                ("lv-reduced", (1.2, -1.0, -0.3, 0.4), (5.0, 0.7, 4.0, 1.5)),
+                ("lv-reduced", (6.0, 6.0, 6.0, 6.0), (4.0, 4.0, 4.0, 4.0))]
+        fits = [shared_spec_fit(kind, coefs, start, times) for kind, coefs, start in rows]
+        forecasts, left_domain = forecast_fits(fits, 2)
+        assert [f.blown_up for f in forecasts] == [False, True] * 3
+        assert not left_domain.any()
+        for fit, forecast in zip(fits, forecasts):
+            assert_same_forecast(forecast, forecast_fit(fit, 2))
+            if forecast.blown_up:
+                k = forecast.blowup_index
+                assert np.all(np.isnan(forecast.fitted_and_forecast[k:]))
+        # neither the batch's size nor its other members change a row
+        for i, fit in enumerate(fits):
+            (alone,), _ = forecast_fits([fit], 2)
+            assert_same_forecast(forecasts[i], alone)
+        reordered, _ = forecast_fits(fits[::-1], 2)
+        for forecast, other in zip(forecasts, reordered[::-1]):
+            assert_same_forecast(forecast, other)
+
+    def test_grey_row_leaving_the_domain_is_flagged(self):
+        times = 0.05 * np.arange(11.0)
+        spec = power_spec(0.5, include_constant=True)
+
+        def grey_power(beta):
+            params = ParameterSet([[1.0]], [[0.5]], [1.0], beta=[beta], form=GREY_FORM)
+            return FitResult(spec, params, METHOD_GREY_TWOSTEP, np.zeros((10, 1)), 1.0, times)
+
+        fits = [grey_power(0.0), grey_power(-40.0), grey_power(0.1)]
+        forecasts, left_domain = forecast_fits(fits, 1)
+        assert list(left_domain) == [False, True, False]
+        assert forecasts[1] is None
+        for i in (0, 2):
+            assert_same_forecast(forecasts[i], forecast_fit(fits[i], 1))
+        with pytest.raises(DomainError):
+            forecast_fit(fits[1], 1)
+
+    def test_fits_on_different_grids_are_refused(self):
+        fits = [power_fit(1.0, 0.5, 0.5, 1.0, 1.0, 0.05 * np.arange(5.0)),
+                power_fit(1.0, 0.5, 0.5, 1.0, 1.0, 0.05 * np.arange(6.0))]
+        with pytest.raises(ConfigError):
+            forecast_fits(fits, 1)

@@ -108,6 +108,25 @@ class TestMonteCarlo:
         parallel = run_monte_carlo(config, workers=2)
         assert serial.records == parallel.records
 
+    @pytest.mark.parametrize("scenario", ["verhulst", "lv"])
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch, scenario):
+        if scenario == "verhulst":
+            config = small_config(replications=16)
+        else:
+            # noisy grey initial values, so that some grey rows blow up mid-chunk
+            spec, truth = lotka_volterra_truth()
+            config = ScenarioConfig("lv", spec, truth, T=5.0, h=0.05, noise_level=0.04,
+                                    replications=16, seed=5)
+        reference = run_monte_carlo(config)
+        assert len({r.replication for r in reference.records}) == 16
+        if scenario == "lv":
+            assert any(r.status == "blow_up" for r in reference.records)
+        for size, workers in ((1, 1), (7, 1), (7, 2), (simulate.CHUNK_SIZE, 2)):
+            monkeypatch.setattr(simulate, "CHUNK_SIZE", size)
+            report = run_monte_carlo(config, workers=workers)
+            # repr compares failure markers too, whose NaN values never compare equal
+            assert list(map(repr, report.records)) == list(map(repr, reference.records))
+
     def test_record_count_invariant(self):
         config = small_config()
         report = run_monte_carlo(config)
@@ -142,7 +161,7 @@ class TestMonteCarlo:
         from greymatch.simulate import _run_estimator
         from greymatch import TimeSeries
         flat = TimeSeries(clean.times, np.zeros_like(clean.values))
-        records = _run_estimator(METHOD_INTEGRAL_MATCHING, flat, config, 0)
+        (records,) = _run_estimator(METHOD_INTEGRAL_MATCHING, [flat], config, [0])
         assert len(records) == 1
         assert records[0].status == "singular_design"
         assert records[0].name == "failure"
