@@ -285,14 +285,18 @@ def _fit_from_json(doc: dict):
         raise ValueError("'times' must be a list of at least two increasing numbers")
     if not isinstance(doc["diagnostics"], dict):
         raise TypeError("'diagnostics' must be an object")
-    if doc["method_tag"] == METHOD_GREY_TWOSTEP:
-        block = doc["grey"]
-        params = ParameterSet(block["theta_L"], block["theta_N"], block["eta"],
-                              beta=block["beta"], form=GREY_FORM)
-    else:
-        block = doc["reduced"]
-        params = ParameterSet(block["theta_L"], block["theta_N"], block["eta"],
-                              eta_x=block["eta_x"], form=REDUCED_FORM)
+    grey = doc["method_tag"] == METHOD_GREY_TWOSTEP
+    block = doc["grey" if grey else "reduced"]
+    offset = "beta" if grey else "eta_x"
+    d = spec.dimension
+    # ParameterSet broadcasts a scalar and knows nothing of the spec's basis size
+    for name, shape in (("theta_L", (d, d)), ("theta_N", (d, spec.p)), ("eta", (d,)),
+                        (offset, (d,))):
+        if np.shape(block[name]) != shape and not (name == offset and block[name] is None):
+            raise ValueError(f"'{name}' must have shape {shape} under the spec, "
+                             f"got {np.shape(block[name])}")
+    params = ParameterSet(block["theta_L"], block["theta_N"], block["eta"],
+                          form=GREY_FORM if grey else REDUCED_FORM, **{offset: block[offset]})
     n = times.size
     return FitResult(spec, params, doc["method_tag"],
                      np.zeros((max(n - 1, 0), spec.dimension)),

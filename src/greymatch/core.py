@@ -125,6 +125,11 @@ class NonlinearBasis:
     dimension: int
     size: int
 
+    @property
+    def positive_only(self) -> bool:
+        """Whether N(y) is defined only for positive states."""
+        return False
+
     def evaluate(self, y: np.ndarray) -> np.ndarray:
         """The (B, p) values N(y) of a (B, d) batch of states."""
         raise NotImplementedError
@@ -191,6 +196,10 @@ class PowerUnivariate(NonlinearBasis):
     @property
     def size(self) -> int:
         return 1
+
+    @property
+    def positive_only(self) -> bool:
+        return not float(self.gamma).is_integer()
 
     def _check_domain(self, v: float):
         if v <= 0.0 and not float(self.gamma).is_integer():

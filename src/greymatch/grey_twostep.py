@@ -9,7 +9,7 @@ Forecasting integrates the cumulative model and differences back
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -26,7 +26,7 @@ from .core import (
     SingularDesignError,
     TimeSeries,
 )
-from .ode import solve_grey
+from .ode import Trajectory, solve_grey
 from .transform import CusumSeries, cusum
 
 FIX_FIRST = "fix_first"
@@ -36,6 +36,15 @@ INITIAL_STRATEGIES = (FIX_FIRST, FIX_LAST, RESIDUAL_CORRECTION)
 
 #: smallest singular value, relative to the largest, of a nonsingular design
 RANK_TOLERANCE = 1e-10
+
+#: cells per pass of the initial-value K-section search (K + 1 candidates)
+SECTIONS = 64
+#: absolute width at which the last-point root search stops (brentq's ``xtol``)
+ROOT_XTOL = 1e-12
+#: cell width at which the d = 1 residual search stops (Nelder-Mead's ``xatol``)
+MIN_XATOL = 1e-8
+#: times the d = 1 residual search may widen its bracket past an end holding the minimum
+MAX_WIDENINGS = 20
 
 
 @dataclass(frozen=True)
@@ -103,66 +112,168 @@ def _last_point_bracket(column: np.ndarray) -> Tuple[float, float]:
     return lo - 0.5 * span, hi + 0.5 * span
 
 
+def _section_root(mismatch: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                  component: int) -> float:
+    """Root of ``mismatch`` on [lo, hi] by K-section on grids of SECTIONS + 1 points.
+
+    ``mismatch`` maps a grid to its values in one pass.  A grid point with
+    value zero is returned; otherwise each pass keeps the first cell with a
+    sign change, until the cell is at most ``ROOT_XTOL`` plus four ulps of its
+    ends wide (brentq's stopping rule) or no longer shrinks, and the cell end
+    nearer zero is returned.
+    """
+    grid = np.linspace(lo, hi, SECTIONS + 1)
+    f = mismatch(grid)
+    if np.sign(f[0]) * np.sign(f[-1]) > 0.0:
+        raise RootSearchError(
+            f"no sign change for component {component} in bracket [{lo:.6g}, {hi:.6g}]"
+        )
+    while True:
+        zero = np.flatnonzero(f == 0.0)
+        if zero.size:
+            return float(grid[zero[0]])
+        j = int(np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))[0])
+        a, b = grid[j], grid[j + 1]
+        if (b - a <= ROOT_XTOL + 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
+                or (a, b) == (grid[0], grid[-1])):
+            return float(a if abs(f[j]) <= abs(f[j + 1]) else b)
+        grid = np.linspace(a, b, SECTIONS + 1)
+        f = mismatch(grid)
+
+
+def _sweep_root(mismatch: Callable[[np.ndarray], np.ndarray], bracket: Tuple[float, float],
+                guess: float, step: Optional[float], component: int) -> float:
+    """``_section_root`` for one component in a coordinate sweep.
+
+    After the first sweep (``step`` is the largest move of eta in the last
+    one) the root is searched first on a bracket of half-width 2 * step
+    around the previous root, widened SECTIONS-fold while it holds no sign
+    change, and on the full ``bracket`` only once that is reached.
+    """
+    lo, hi = bracket
+    if step is not None:
+        half = max(2.0 * step, ROOT_XTOL)
+        while half < hi - lo:
+            try:
+                return _section_root(mismatch, max(guess - half, lo), min(guess + half, hi),
+                                     component)
+            except RootSearchError:
+                half *= SECTIONS
+    return _section_root(mismatch, lo, hi, component)
+
+
+def _section_minimum(objective: Callable[[np.ndarray], np.ndarray],
+                     lo: float, hi: float, floor: float = -np.inf) -> float:
+    """Minimizer of ``objective`` on [lo, hi] by K-section on grids of SECTIONS + 1 points.
+
+    Each pass keeps the two cells around its smallest value, until a cell is
+    at most ``MIN_XATOL`` wide (Nelder-Mead's ``xatol``) or no longer
+    shrinks, and the smallest value seen is returned.  A smallest value on
+    an end of the bracket widens the bracket past that end by its width,
+    never below ``floor``; one still on an end after ``MAX_WIDENINGS``
+    widenings, or on ``floor``, raises OptimizerError: the minimum is not
+    inside.
+    """
+    a, b = lo, hi
+    widenings = 0
+    best, best_value = None, np.inf
+    while True:
+        grid = np.linspace(a, b, SECTIONS + 1)
+        values = objective(grid)
+        j = int(np.argmin(values))
+        if values[j] < best_value:
+            best, best_value = float(grid[j]), values[j]
+        if grid[j] == lo or grid[j] == hi:
+            if widenings == MAX_WIDENINGS or grid[j] <= floor:
+                raise OptimizerError(
+                    f"residual-correction minimum lies on the bracket end {grid[j]:.6g} "
+                    f"of [{lo:.6g}, {hi:.6g}]"
+                )
+            widenings += 1
+            if grid[j] == lo:
+                lo = max(lo - (hi - lo), floor)
+                a, b = lo, grid[1]
+            else:
+                hi = hi + (hi - lo)
+                a, b = grid[-2], hi
+            continue
+        j = min(max(j, 1), SECTIONS - 1)
+        if grid[1] - grid[0] <= MIN_XATOL or (grid[j - 1], grid[j + 1]) == (a, b):
+            return best
+        a, b = grid[j - 1], grid[j + 1]
+
+
+def _summed_squares(traj: Trajectory, y: np.ndarray) -> np.ndarray:
+    """Summed squared residual of each row of a batched trajectory against y;
+    1e300 for a row that blew up.  Each row is summed as the (n, d) residual
+    of a one-row trajectory would be."""
+    residual = np.ascontiguousarray(np.moveaxis(traj.states, 1, 0)) - y
+    values = np.sum((residual ** 2).reshape(residual.shape[0], -1), axis=1)
+    values[traj.row_blowup_index >= 0] = 1e300
+    return values
+
+
 def select_initial(strategy: str, ycum: CusumSeries, spec: ModelSpec,
                    theta_L: np.ndarray, theta_N: np.ndarray,
                    beta: Optional[np.ndarray] = None) -> np.ndarray:
     """Pick the initial value of the cumulative model given structural estimates.
 
-    Strategies: fix the first cumulative sample, match the last cumulative
-    sample by root search, or minimize the summed squared trajectory residual
-    with a derivative-free simplex search seeded at the first sample.
+    Strategies: fix the first cumulative sample; match the last cumulative
+    sample by K-section root search per component (coordinate sweeps when
+    d > 1); or minimize the summed squared trajectory residual, by K-section
+    for d = 1 and a simplex search seeded at the first sample for d > 1.
+    Every K-section pass integrates its candidates in one batched
+    ``solve_grey`` call over ``_last_point_bracket``.
     """
     y = ycum.cum_values
     if strategy == FIX_FIRST:
         return y[0].copy()
 
-    def trajectory(eta):
-        params = ParameterSet(theta_L, theta_N, eta, beta=beta, form=GREY_FORM)
-        return solve_grey(spec, params, ycum.times)
+    def trajectories(etas):
+        batch = [ParameterSet(theta_L, theta_N, eta, beta=beta, form=GREY_FORM)
+                 for eta in etas]
+        return solve_grey(spec, batch, ycum.times)
 
     if strategy == FIX_LAST:
         target = y[-1]
         eta = y[0].astype(float).copy()
 
-        def component_mismatch(value, i):
-            eta[i] = value
-            traj = trajectory(eta)
-            if traj.blown_up:
-                # use the last finite state as a signed surrogate so the
-                # bracket stays usable when an endpoint trajectory diverges
-                last = max(traj.blowup_index - 1, 0)
-                surrogate = traj.states[last, i] - target[i]
-                return 1e30 if surrogate >= 0.0 else -1e30
-            return traj.states[-1, i] - target[i]
+        def component_mismatch(values, i):
+            etas = np.repeat(eta[None, :], values.size, axis=0)
+            etas[:, i] = values
+            traj = trajectories(etas)
+            f = traj.states[-1, :, i] - target[i]
+            rows = np.flatnonzero(traj.row_blowup_index >= 0)
+            # use the last finite state as a signed surrogate so the
+            # bracket stays usable when a candidate's trajectory diverges
+            last = np.maximum(traj.row_blowup_index[rows] - 1, 0)
+            f[rows] = np.where(traj.states[last, rows, i] - target[i] >= 0.0, 1e30, -1e30)
+            return f
 
         sweeps = 1 if spec.dimension == 1 else 50
+        step = None
         for _ in range(sweeps):
             previous = eta.copy()
             for i in range(spec.dimension):
-                lo, hi = _last_point_bracket(y[:, i])
-                f_lo = component_mismatch(lo, i)
-                f_hi = component_mismatch(hi, i)
-                if f_lo == 0.0 or f_hi == 0.0:
-                    eta[i] = lo if f_lo == 0.0 else hi
-                    continue
-                if np.sign(f_lo) == np.sign(f_hi):
-                    raise RootSearchError(
-                        f"no sign change for component {i} in bracket [{lo:.6g}, {hi:.6g}]"
-                    )
-                eta[i] = optimize.brentq(component_mismatch, lo, hi, args=(i,), xtol=1e-12)
-            if np.max(np.abs(eta - previous)) < 1e-10:
+                eta[i] = _sweep_root(lambda values: component_mismatch(values, i),
+                                     _last_point_bracket(y[:, i]), eta[i], step, i)
+            step = float(np.max(np.abs(eta - previous)))
+            if step < 1e-10:
                 break
         return eta
 
     if strategy == RESIDUAL_CORRECTION:
-        def objective(eta):
-            traj = trajectory(eta)
-            if traj.blown_up:
-                return 1e300
-            return float(np.sum((traj.states - y) ** 2))
-
+        if spec.dimension == 1:
+            lo, hi = _last_point_bracket(y[:, 0])
+            # a basis defined for y > 0 only keeps every candidate inside its domain
+            positive = spec.basis is not None and spec.basis.positive_only
+            floor = np.finfo(float).tiny if positive else -np.inf
+            best = _section_minimum(lambda grid: _summed_squares(trajectories(grid[:, None]), y),
+                                    max(lo, floor), hi, floor)
+            return np.array([best])
         result = optimize.minimize(
-            objective, y[0], method="Nelder-Mead",
+            lambda eta: float(_summed_squares(trajectories([eta]), y)[0]), y[0],
+            method="Nelder-Mead",
             options={"maxiter": 500, "fatol": 1e-10, "xatol": 1e-8},
         )
         if not result.success:

@@ -232,12 +232,19 @@ def _one_row(traj: Trajectory) -> Trajectory:
     return Trajectory(traj.times, traj.states[:, 0], traj.blown_up, traj.blowup_index)
 
 
-def solve_grey(spec: ModelSpec, params: ParameterSet, times,
+def solve_grey(spec: ModelSpec, params, times,
                substeps: Optional[int] = None) -> Trajectory:
-    """Cumulative-state trajectory of the grey model from eta (a batch of one row)."""
+    """Cumulative-state trajectory of the grey model from eta.
+
+    ``params`` is one parameter set, giving an (n, d) trajectory (a batch of
+    one row), or a sequence of B sets sharing ``spec``, giving an (n, B, d)
+    trajectory with ``row_blowup_index`` whose row i equals set i solved alone.
+    """
     if substeps is None:
         substeps = default_substeps(times)
-    return _one_row(rk4_integrate(grey_rhs(spec, params), [params.eta], times, substeps))
+    batch = _batch(params)
+    traj = rk4_integrate(grey_rhs(spec, batch), [p.eta for p in batch], times, substeps)
+    return _one_row(traj) if isinstance(params, ParameterSet) else traj
 
 
 def solve_reduced(spec: ModelSpec, params: ParameterSet, times,

@@ -292,12 +292,13 @@ def run_monte_carlo(config: ScenarioConfig, workers: int = 1) -> MonteCarloRepor
     batched pass, whose rows equal the fits forecast alone.  Per-replication
     failures (singular designs, trajectory blow-ups, ...) become
     failure-marker records; they never abort the batch.  ``workers`` > 1
-    fans whole chunks out to processes without changing the result.
+    fans whole chunks out to processes without changing the result; a single
+    chunk runs in this process.
     """
     clean = generate_clean(config)
     n = config.replications
     chunks = [range(start, min(start + CHUNK_SIZE, n)) for start in range(0, n, CHUNK_SIZE)]
-    if workers > 1:
+    if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(_chunk_records, [config] * len(chunks),
                                       [clean] * len(chunks), chunks))

@@ -19,6 +19,9 @@ FIT_DOC = {"spec": {"dimension": 1, "basis": {"kind": "polynomial", "max_degree"
            "method_tag": "integral_matching",
            "reduced": {"theta_L": [[1.2]], "theta_N": [[-0.5]], "eta": [0.4], "eta_x": [0.4]},
            "times": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], "diagnostics": {"condition": 10.0}}
+GREY_FIT_DOC = dict(FIT_DOC, method_tag="grey_twostep",
+                    grey={"theta_L": [[1.2]], "theta_N": [[-0.5]], "beta": None, "eta": [0.4]})
+DEGREE_5_SPEC = dict(FIT_DOC["spec"], basis={"kind": "polynomial", "max_degree": 5})
 
 
 def write_csv(path, times, values):
@@ -127,6 +130,18 @@ class TestFitCommand:
         write_csv(path, range(6), [-5.0, -4.0, -3.0, -2.0, -1.0, -0.5])
         assert main(["fit", str(path), "--model", "ingbm", "--gamma", "0.5",
                      "--out-dir", str(tmp_path / "o5")]) == 5
+
+    def test_fractional_power_initial_value_searches(self, sewage_csv, tmp_path):
+        # the last-point bracket of the cumulative sewage series reaches below zero:
+        # fix_last leaves the domain of y^0.63 there, residual_correction keeps to y > 0
+        argv = ["fit", sewage_csv, "--model", "ingbm", "--gamma", "0.63", "--method", "grey",
+                "--init-strategy"]
+        assert main(argv + ["fix_last", "--out-dir", str(tmp_path / "last")]) == 5
+        out = tmp_path / "residual"
+        assert main(argv + ["residual_correction", "--out-dir", str(out)]) == 0
+        eta = json.loads((out / "fit.json").read_text())["parameters"]["eta_1"]
+        # a Nelder-Mead search seeded at the first sample finds 105.91046313610872
+        assert abs(eta - 105.91046313610872) <= 1e-7 * 105.91046313610872
 
     def test_domain_error_in_the_fitted_values_writes_error_fit_json(self, tmp_path):
         # the fit succeeds (x(t1) + x~ > 0 on the first 6 samples), its trajectory leaves y > 0
@@ -355,6 +370,16 @@ class TestMalformedInput:
         ("forecast", dict(FIT_DOC, diagnostics=5), 2, "malformed fit document"),
         ("forecast", dict(FIT_DOC, times=5), 2, "malformed fit document"),
         ("forecast", dict(FIT_DOC, times=["a", "b"]), 2, "malformed fit document"),
+        ("forecast", dict(FIT_DOC, reduced=dict(FIT_DOC["reduced"], theta_N=[])), 2,
+         "malformed fit document"),
+        ("forecast", dict(FIT_DOC, reduced=dict(FIT_DOC["reduced"], theta_N=5)), 2,
+         "malformed fit document"),
+        ("forecast", dict(FIT_DOC, spec=DEGREE_5_SPEC), 2, "malformed fit document"),
+        ("forecast", dict(GREY_FIT_DOC, grey=dict(GREY_FIT_DOC["grey"], theta_N=[])), 2,
+         "malformed fit document"),
+        ("forecast", dict(GREY_FIT_DOC, grey=dict(GREY_FIT_DOC["grey"], theta_N=5)), 2,
+         "malformed fit document"),
+        ("forecast", dict(GREY_FIT_DOC, spec=DEGREE_5_SPEC), 2, "malformed fit document"),
         ("mc", [5], 6, "[0]"),
         ("mc", dict(SCENARIO, truth=5), 6, "'truth'"),
         ("mc", dict(SCENARIO, estimators=5), 6, "'estimators'"),
@@ -365,6 +390,8 @@ class TestMalformedInput:
         ("mc", dict(SCENARIO, replications=True), 6, "'replications'"),
         ("mc", dict(SCENARIO, seed=False), 6, "'seed'"),
     ], ids=["fit_number", "diagnostics_number", "times_number", "times_strings",
+            "reduced_theta_N_empty", "reduced_theta_N_scalar", "reduced_spec_degree_5",
+            "grey_theta_N_empty", "grey_theta_N_scalar", "grey_spec_degree_5",
             "scenario_list_of_number", "truth_number", "estimators_number", "n_string",
             "replications_fraction", "seed_fraction", "n_fraction", "replications_bool",
             "seed_bool"])
@@ -377,10 +404,11 @@ class TestMalformedInput:
 
     def test_well_formed_counterparts_are_accepted(self, tmp_path):
         # the shapes above differ from these in one key only
-        fit_path = tmp_path / "fit.json"
-        fit_path.write_text(json.dumps(FIT_DOC))
-        assert main(["forecast", str(fit_path), "--horizon", "1",
-                     "--out-dir", str(tmp_path / "forecast")]) == 0
+        for i, doc in enumerate((FIT_DOC, GREY_FIT_DOC)):
+            fit_path = tmp_path / f"fit{i}.json"
+            fit_path.write_text(json.dumps(doc))
+            assert main(["forecast", str(fit_path), "--horizon", "1",
+                         "--out-dir", str(tmp_path / f"forecast{i}")]) == 0
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(dict(SCENARIO, replications=3.0, seed=7.0, n=21.0)))
         (scenario,) = _load_scenarios(str(path), None)

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from greymatch import (
     ConfigError,
+    DomainError,
     FIX_FIRST,
     FIX_LAST,
     GREY_FORM,
     GreyFitConfig,
     ModelSpec,
+    OptimizerError,
     ParameterSet,
     RESIDUAL_CORRECTION,
     REDUCED_FORM,
+    RootSearchError,
     SingularDesignError,
     TimeSeries,
     build_design_grey,
@@ -19,12 +23,19 @@ from greymatch import (
     fit_grey,
     forecast_fit,
     least_squares_solve,
+    lotka_volterra_spec,
     lotka_volterra_truth,
+    power_spec,
     select_initial,
+    solve_grey,
     solve_reduced,
     verhulst_spec,
 )
-from greymatch.grey_twostep import masked_row_solve
+from greymatch import grey_twostep
+from greymatch.datasets import sewage_discharge, water_use
+from greymatch.integral_matching import power_family_spec
+from greymatch.grey_twostep import _last_point_bracket, masked_row_solve
+from greymatch.transform import CusumSeries
 
 A, B_GREY, ETA = 1.2, -0.5, 0.4
 
@@ -182,6 +193,182 @@ class TestSelectInitial:
                   for strategy in (FIX_FIRST, FIX_LAST, RESIDUAL_CORRECTION)]
         assert max(values) - min(values) < 1e-6
         assert abs(values[0] - 0.4) < 1e-12
+
+
+def yearly_structure(dataset, spec=None):
+    """Cumulative series, spec and structural estimates of a yearly grey fit (IGVM by default)."""
+    spec = verhulst_spec() if spec is None else spec
+    ts = dataset()
+    fit = fit_grey(ts, spec)
+    return cusum(ts), spec, fit.params.theta_L, fit.params.theta_N
+
+
+def one_row(ycum, spec, theta_L, theta_N, eta):
+    return solve_grey(spec, ParameterSet(theta_L, theta_N, eta), ycum.times)
+
+
+def summed_squares(ycum, spec, theta_L, theta_N, eta):
+    traj = one_row(ycum, spec, theta_L, theta_N, eta)
+    return 1e300 if traj.blown_up else float(np.sum((traj.states - ycum.cum_values) ** 2))
+
+
+def serial_fix_last(ycum, spec, theta_L, theta_N):
+    """brentq per component and coordinate sweeps, one one-row solve per evaluation."""
+    y = ycum.cum_values
+    eta = y[0].astype(float).copy()
+
+    def mismatch(value, i):
+        eta[i] = value
+        traj = one_row(ycum, spec, theta_L, theta_N, eta)
+        if traj.blown_up:
+            last = max(traj.blowup_index - 1, 0)
+            return 1e30 if traj.states[last, i] - y[-1, i] >= 0.0 else -1e30
+        return traj.states[-1, i] - y[-1, i]
+
+    for _ in range(1 if spec.dimension == 1 else 50):
+        previous = eta.copy()
+        for i in range(spec.dimension):
+            eta[i] = optimize.brentq(mismatch, *_last_point_bracket(y[:, i]), args=(i,),
+                                     xtol=1e-12)
+        if np.max(np.abs(eta - previous)) < 1e-10:
+            break
+    return eta
+
+
+def serial_residual_correction(ycum, spec, theta_L, theta_N):
+    """Nelder-Mead on the summed squared residual, seeded at the first sample."""
+    result = optimize.minimize(
+        lambda eta: summed_squares(ycum, spec, theta_L, theta_N, eta), ycum.cum_values[0],
+        method="Nelder-Mead", options={"maxiter": 500, "fatol": 1e-10, "xatol": 1e-8},
+    )
+    assert result.success
+    return result.x
+
+
+def count_solves(monkeypatch):
+    """Record the batch size of each solve_grey call the search makes."""
+    sizes = []
+    original = grey_twostep.solve_grey
+
+    def counting(spec, params, times, substeps=None):
+        sizes.append(len(params))
+        return original(spec, params, times, substeps)
+
+    monkeypatch.setattr(grey_twostep, "solve_grey", counting)
+    return sizes
+
+
+YEARLY = pytest.mark.parametrize("dataset", [sewage_discharge, water_use],
+                                 ids=["sewage", "water"])
+
+
+class TestBatchedSearch:
+    @YEARLY
+    def test_fix_last_matches_brentq(self, monkeypatch, dataset):
+        ycum, spec, theta_L, theta_N = yearly_structure(dataset)
+        reference = serial_fix_last(ycum, spec, theta_L, theta_N)
+        sizes = count_solves(monkeypatch)
+        eta = select_initial(FIX_LAST, ycum, spec, theta_L, theta_N)
+        assert 1 <= len(sizes) <= 12
+        assert set(sizes) == {grey_twostep.SECTIONS + 1}
+        assert abs(eta[0] - reference[0]) <= 1e-12 * abs(reference[0])
+
+    @YEARLY
+    def test_residual_correction_matches_nelder_mead(self, monkeypatch, dataset):
+        ycum, spec, theta_L, theta_N = yearly_structure(dataset)
+        reference = serial_residual_correction(ycum, spec, theta_L, theta_N)
+        sizes = count_solves(monkeypatch)
+        eta = select_initial(RESIDUAL_CORRECTION, ycum, spec, theta_L, theta_N)
+        assert 1 <= len(sizes) <= 12
+        assert abs(eta[0] - reference[0]) <= 1e-7 * abs(reference[0])
+        assert (summed_squares(ycum, spec, theta_L, theta_N, eta)
+                <= summed_squares(ycum, spec, theta_L, theta_N, reference))
+
+    def test_fractional_power_residual_correction_matches_nelder_mead(self):
+        # the bracket of the sewage cumulative series reaches below zero, outside
+        # the domain of y^0.63: the residual search keeps to y > 0
+        ycum, spec, theta_L, theta_N = yearly_structure(sewage_discharge,
+                                                        power_family_spec("ingbm", 0.63))
+        assert _last_point_bracket(ycum.cum_values[:, 0])[0] < 0.0
+        reference = serial_residual_correction(ycum, spec, theta_L, theta_N)
+        eta = select_initial(RESIDUAL_CORRECTION, ycum, spec, theta_L, theta_N)
+        assert abs(eta[0] - reference[0]) <= 1e-7 * abs(reference[0])
+        assert (summed_squares(ycum, spec, theta_L, theta_N, eta)
+                <= summed_squares(ycum, spec, theta_L, theta_N, reference))
+
+    def test_two_species_fix_last_matches_serial_sweep(self, monkeypatch):
+        spec = lotka_volterra_spec()
+        truth = ParameterSet([[0.3, 0.0], [0.0, -0.2]], [[0.0, -0.1, 0.0], [0.0, 0.1, 0.0]],
+                             [5.0, 3.0], form=REDUCED_FORM)
+        times = np.arange(0.0, 0.6 + 1e-9, 0.1)
+        ts = TimeSeries(times, solve_reduced(spec, truth, times).states[:, :2])
+        fit = fit_grey(ts, spec)
+        ycum = cusum(ts)
+        reference = serial_fix_last(ycum, spec, fit.params.theta_L, fit.params.theta_N)
+        sizes = count_solves(monkeypatch)
+        eta = select_initial(FIX_LAST, ycum, spec, fit.params.theta_L, fit.params.theta_N)
+        assert set(sizes) == {grey_twostep.SECTIONS + 1}
+        assert np.all(np.abs(eta - reference) <= 1e-12 * np.abs(reference))
+
+    def test_no_sign_change_is_a_root_search_error(self):
+        # dy/dt = 5 y overshoots the last sample from every eta in [0.5, 2.5]
+        times = np.linspace(0.0, 1.0, 5)
+        ycum = CusumSeries(times, np.linspace(1.0, 2.0, 5)[:, None])
+        with pytest.raises(RootSearchError):
+            select_initial(FIX_LAST, ycum, ModelSpec(1, None), np.array([[5.0]]),
+                           np.zeros((1, 0)))
+
+    def test_power_bracket_end_is_a_domain_error(self):
+        # the bracket of the sewage cumulative series reaches below zero
+        ycum = cusum(sewage_discharge())
+        assert _last_point_bracket(ycum.cum_values[:, 0])[0] < 0.0
+        with pytest.raises(DomainError):
+            select_initial(FIX_LAST, ycum, power_spec(0.63), np.array([[0.2]]),
+                           np.array([[0.1]]))
+
+    def test_residual_minimum_beyond_bracket_end_is_found(self, monkeypatch):
+        # dy/dt = 3 y: the best eta lies far below the bracket [0.8, 1.6]
+        times = np.linspace(0.0, 1.0, 5)
+        ycum = CusumSeries(times, np.linspace(1.0, 1.4, 5)[:, None])
+        spec, theta_L, theta_N = ModelSpec(1, None), np.array([[3.0]]), np.zeros((1, 0))
+        reference = serial_residual_correction(ycum, spec, theta_L, theta_N)
+        sizes = count_solves(monkeypatch)
+        eta = select_initial(RESIDUAL_CORRECTION, ycum, spec, theta_L, theta_N)
+        assert len(sizes) <= 12
+        assert eta[0] < 0.8
+        assert abs(eta[0] - reference[0]) <= 1e-7 * abs(reference[0])
+        assert (summed_squares(ycum, spec, theta_L, theta_N, eta)
+                <= summed_squares(ycum, spec, theta_L, theta_N, reference))
+
+    def test_residual_minimum_on_domain_edge_is_an_optimizer_error(self):
+        # dy/dt = 10 y^0.5 overshoots the samples from every eta > 0, the
+        # least from the smallest: the minimum sits on the domain edge y = 0
+        times = np.linspace(0.0, 1.0, 5)
+        ycum = CusumSeries(times, np.linspace(0.1, 0.2, 5)[:, None])
+        with pytest.raises(OptimizerError, match="bracket end"):
+            select_initial(RESIDUAL_CORRECTION, ycum, power_spec(0.5, include_linear=False),
+                           np.zeros((1, 1)), np.array([[10.0]]))
+
+    def test_minimum_past_every_widening_is_an_optimizer_error(self):
+        with pytest.raises(OptimizerError, match="bracket end"):
+            grey_twostep._section_minimum(lambda grid: -grid, 0.0, 1.0)
+
+    def test_batched_solve_rows_equal_rows_alone(self):
+        spec = verhulst_spec()
+        times = np.linspace(0.0, 3.0, 13)
+        # the last two rows blow up (b > 0 drives y to infinity in finite time)
+        batch = [ParameterSet([[1.2]], [[b]], [eta])
+                 for b, eta in ((-0.5, 0.4), (-0.5, 3.0), (0.0, 0.7), (0.5, 0.4), (0.5, 9.0))]
+        traj = solve_grey(spec, batch, times)
+        assert traj.states.shape == (times.size, len(batch), 1)
+        assert traj.row_blowup_index.tolist()[:3] == [-1, -1, -1]
+        assert np.all(traj.row_blowup_index[3:] > 0)
+        for i, params in enumerate(batch):
+            alone = solve_grey(spec, params, times)
+            assert np.array_equal(traj.states[:, i], alone.states, equal_nan=True)
+            index = traj.row_blowup_index[i]
+            assert alone.blown_up == (index >= 0)
+            assert alone.blowup_index == (index if index >= 0 else None)
 
 
 class TestFitGrey:

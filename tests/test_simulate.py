@@ -108,6 +108,16 @@ class TestMonteCarlo:
         parallel = run_monte_carlo(config, workers=2)
         assert serial.records == parallel.records
 
+    def test_single_chunk_starts_no_process_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single chunk must run without a process pool")
+
+        config = small_config()
+        assert config.replications <= simulate.CHUNK_SIZE
+        serial = run_monte_carlo(config)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        assert run_monte_carlo(config, workers=4).records == serial.records
+
     @pytest.mark.parametrize("scenario", ["verhulst", "lv"])
     def test_chunk_size_does_not_change_the_report(self, monkeypatch, scenario):
         if scenario == "verhulst":

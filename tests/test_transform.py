@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, strategies as st
 
 from greymatch import TimeSeries, cusum, inverse_cusum, trapezoid_cumulative
 from greymatch.transform import difference_cumulative
@@ -51,6 +52,29 @@ def test_round_trip_random_nonuniform():
         back = inverse_cusum(cusum(ts))
         assert np.allclose(back.values, ts.values, rtol=1e-12, atol=1e-12)
         assert np.allclose(back.times, ts.times)
+
+
+@given(st.data())
+def test_round_trip_property(data):
+    # x_k -> y_k = y_{k-1} + h_k x_k -> (y_k - y_{k-1}) / h_k rounds four times
+    # in each sample; the sum's rounding scales with |y_k|, so the bound is
+    # 4 eps (|x_k| + |y_k| / h_k), with h_1 = 1 and an exact first sample
+    n = data.draw(st.integers(1, 30), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    start = data.draw(st.floats(-100.0, 100.0), label="start")
+    gaps = data.draw(st.lists(st.floats(0.01, 100.0), min_size=n - 1, max_size=n - 1),
+                     label="gaps")
+    value = st.floats(-1e3, 1e3, allow_subnormal=False)
+    values = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                         min_size=n, max_size=n), label="values"))
+    ts = TimeSeries(start + np.concatenate([[0.0], np.cumsum(gaps)]), values)
+    ycum = cusum(ts)
+    back = inverse_cusum(ycum)
+    h = np.concatenate([[1.0], np.diff(ts.times)])[:, None]
+    bound = 4.0 * np.finfo(float).eps * (np.abs(values) + np.abs(ycum.cum_values) / h)
+    assert np.array_equal(back.times, ts.times)
+    assert np.array_equal(back.values[0], values[0])
+    assert np.all(np.abs(back.values - values) <= bound + np.finfo(float).tiny)
 
 
 def test_trapezoid_constant_integrand():
