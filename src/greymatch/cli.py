@@ -684,8 +684,8 @@ def cmd_reproduce(args) -> int:
                       f"ours={np.round(ours, 2).tolist()} reported={list(reported)}")
                 for step, (value, ref) in enumerate(zip(ours, reported), start=1):
                     year = 2018 + step
-                    handle.write(f"{dataset},{step},{year},{value!r},{ref!r},"
-                                 f"{value - ref!r}\n")
+                    handle.write(f"{dataset},{step},{year},{float(value)!r},{ref!r},"
+                                 f"{float(value - ref)!r}\n")
         outputs.append(path.name)
     write_manifest(out_dir, "reproduce", {"table": args.table}, None, outputs, started)
     return EXIT_OK

@@ -37,8 +37,16 @@ from .transform import difference_cumulative
 
 OVERFLOW_GUARD = 1e12
 
-#: largest internal step (in sample-time units) used by the default policy
-DEFAULT_MAX_STEP = 0.01
+#: largest internal step (in sample-time units) used by the default policy.  It
+#: is the largest power of two whose worst relative error, |x - r| / |r| in the
+#: max norm at each sample against 64x more substeps, is <= 1e-7 on the eight
+#: yearly fits forecast 7 steps ahead (<= 1.7e-10 at 32 substeps), the Verhulst
+#: truth on its size-sweep grids (h = 0.4, 0.2, 0.08, 0.04: 1.0e-8, 7.7e-9,
+#: 5.9e-9, 1.8e-9) and the two-species truth at h = 0.01 (2.8e-8, 1 substep);
+#: 2^-4 gives 1.25e-7 on Verhulst h = 0.4.  The two-species size-sweep grids
+#: (h = 0.25, 0.1, 0.05) miss the target at this step: 8.4e-6, 2.7e-6, 2.7e-6.
+#: A power of two keeps every internal time exact on integer-spaced grids.
+DEFAULT_MAX_STEP = 2.0 ** -5
 
 VectorField = Callable[[float, np.ndarray], np.ndarray]
 

@@ -7,7 +7,7 @@ import pytest
 from greymatch import ParameterSet, REDUCED_FORM, solve_reduced, verhulst_spec
 from greymatch.cli import _load_scenarios, main, read_timeseries_csv
 from greymatch.simulate import ScenarioConfig
-from greymatch.datasets import SEWAGE_VALUES
+from greymatch.datasets import REPORTED_FORECASTS, SEWAGE_VALUES
 
 SCENARIO = {"scenario_id": "tiny", "model": "verhulst", "T": 2.0, "h": 0.1,
             "noise_level": 0.10, "replications": 5, "seed": 7}
@@ -352,6 +352,18 @@ class TestReproduceCommand:
         assert set(rows) == {"igvm", "ingm", "ingbm"}
         # delta columns stay small for the sewage benchmark
         assert abs(float(rows["ingbm"][7])) < 0.5
+
+    def test_forecasts(self, tmp_path):
+        out = tmp_path / "fc"
+        assert main(["reproduce", "--table", "forecasts", "--out-dir", str(out)]) == 0
+        lines = (out / "forecast_comparison.csv").read_text().splitlines()
+        assert lines[0] == "dataset,step,year,ours,reported,delta"
+        assert len(lines) == 7
+        for line in lines[1:]:
+            dataset, step, year, ours, reported, delta = line.split(",")
+            assert float(reported) == REPORTED_FORECASTS[dataset][int(step) - 1]
+            assert float(delta) == float(ours) - float(reported)
+            assert abs(float(delta)) / float(reported) < 0.01
 
 
 class TestMalformedInput:

@@ -1,8 +1,8 @@
 """The demos import only names that greymatch still provides.
 
-The demos are not run by the test suite, so this parses each one and checks
-that every name it imports from greymatch resolves; a rename in the package
-then fails here instead of only when a demo is run by hand.
+The test suite does not run the demos (the CI workflow runs them as a step
+of its own), so this parses each one and checks that every name it imports
+from greymatch resolves; a rename in the package then fails here first.
 """
 
 import ast

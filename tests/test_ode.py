@@ -6,8 +6,11 @@ from greymatch import (
     BlowUpError,
     ConfigError,
     DomainError,
+    FIX_FIRST,
+    FIX_LAST,
     FitResult,
     GREY_FORM,
+    GreyFitConfig,
     METHOD_GREY_TWOSTEP,
     METHOD_INTEGRAL_MATCHING,
     METHOD_INTEGRAL_MATCHING_POWER,
@@ -15,12 +18,15 @@ from greymatch import (
     ParameterSet,
     REDUCED_FORM,
     TimeSeries,
+    fit_grey,
+    fit_matching,
     fit_matching_power,
     forecast_fit,
     forecast_fits,
     grey_rhs,
     grey_to_reduced,
     lotka_volterra_spec,
+    lv_noise_sweep,
     polynomial_spec,
     power_spec,
     reduced_augmented_rhs,
@@ -30,8 +36,10 @@ from greymatch import (
     trapezoid_cumulative,
     verhulst_closed_form_x,
     verhulst_closed_form_y,
+    verhulst_n_sweep,
     verhulst_spec,
 )
+from greymatch import ode
 from greymatch.datasets import TRAIN_SIZE, sewage_discharge, water_use
 from greymatch.integral_matching import power_family_spec
 from greymatch.metrics import train_test_split
@@ -56,9 +64,9 @@ class TestRK4:
         assert abs(traj.states[-1, 0] - np.e) < 1e-8
 
     def test_default_substeps_policy(self):
-        assert default_substeps([0.0, 1.0, 2.0]) == 100
+        assert default_substeps([0.0, 1.0, 2.0]) == 32
         assert default_substeps(np.arange(0.0, 4.0, 0.01)) == 1
-        assert default_substeps([0.0, 0.04, 0.08]) == 4
+        assert default_substeps([0.0, 0.04, 0.08]) == 2
 
     def test_verhulst_vs_closed_form(self):
         times = np.linspace(0.0, 4.0, 401)
@@ -105,6 +113,67 @@ class TestRK4:
         assert traj.blown_up and traj.blowup_index == 0
         assert list(traj.row_blowup_index) == [-1, 0]
         assert np.all(np.isfinite(traj.states[:, 0])) and np.all(np.isnan(traj.states[:, 1]))
+
+
+ERROR_TARGET = 1e-7
+REFERENCE_FACTOR = 64
+
+
+def worst_relative_error(x, ref):
+    """max_k |x_k - r_k|_inf / |r_k|_inf over the samples k; the state norm keeps
+    the two-species truth, whose components cross zero, well posed."""
+    return float(np.max(np.max(np.abs(x - ref), axis=1) / np.max(np.abs(ref), axis=1)))
+
+
+def truth_error(config, samples=None):
+    """Error of a scenario truth's default-policy path on the scenario's grid
+    (its first ``samples`` stamps) against 64x more substeps."""
+    grid = config.times()[:samples]
+    substeps = default_substeps(grid)
+    x, ref = (solve_reduced(config.spec, config.truth, grid, m).states[:, :config.spec.dimension]
+              for m in (substeps, REFERENCE_FACTOR * substeps))
+    return worst_relative_error(x, ref)
+
+
+class TestDefaultStepErrorTarget:
+    """The default step is the largest power of two within the error target."""
+
+    def test_yearly_forecasts(self, monkeypatch):
+        # IGVM by matching, grey under fix_first and fix_last, and INGBM at the
+        # exponent the benchmark search selects, each forecast 7 years ahead
+        fits = []
+        for dataset, gamma in ((sewage_discharge, 1.0), (water_use, 0.63)):
+            train, _ = train_test_split(dataset(), TRAIN_SIZE)
+            fits.append(fit_matching(train, verhulst_spec()))
+            for strategy in (FIX_FIRST, FIX_LAST):
+                config = GreyFitConfig(initial_value_strategy=strategy)
+                fits.append(fit_grey(train, verhulst_spec(), config))
+            fits.append(fit_matching_power(train, power_family_spec("ingbm", gamma)))
+        assert default_substeps(extend_times(fits[0].times, 7)) == 32
+        forecasts, _ = forecast_fits(fits, 7)
+        monkeypatch.setattr(ode, "DEFAULT_MAX_STEP", ode.DEFAULT_MAX_STEP / REFERENCE_FACTOR)
+        references, _ = forecast_fits(fits, 7)
+        for fit, forecast, reference in zip(fits, forecasts, references):
+            error = worst_relative_error(forecast.fitted_and_forecast,
+                                         reference.fitted_and_forecast)
+            assert error <= ERROR_TARGET, (fit.method, fit.params.form, error)
+
+    @pytest.mark.parametrize("config", verhulst_n_sweep(1), ids=lambda c: c.scenario_id)
+    def test_verhulst_size_sweep_truth(self, config):
+        assert truth_error(config) <= ERROR_TARGET
+
+    def test_lotka_volterra_truth(self):
+        config = lv_noise_sweep(1)[0]
+        assert config.h == 0.01 and default_substeps(config.times()) == 1
+        # the first two time units hold the cycle's fastest swing and the
+        # worst error of all 501 samples
+        assert truth_error(config, samples=201) <= ERROR_TARGET
+
+    def test_next_power_of_two_misses_the_target(self, monkeypatch):
+        config = verhulst_n_sweep(1)[0]
+        assert config.h == 0.4
+        monkeypatch.setattr(ode, "DEFAULT_MAX_STEP", 2.0 * ode.DEFAULT_MAX_STEP)
+        assert truth_error(config) > ERROR_TARGET
 
 
 class TestVectorFields:
