@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     ConfigError,
@@ -41,9 +40,9 @@ RANK_TOLERANCE = 1e-10
 SECTIONS = 64
 #: absolute width at which the last-point root search stops (brentq's ``xtol``)
 ROOT_XTOL = 1e-12
-#: cell width at which the d = 1 residual search stops (Nelder-Mead's ``xatol``)
+#: cell width at which the residual search stops (Nelder-Mead's ``xatol``)
 MIN_XATOL = 1e-8
-#: times the d = 1 residual search may widen its bracket past an end holding the minimum
+#: times the residual search may widen its bracket past an end holding the minimum
 MAX_WIDENINGS = 20
 
 
@@ -141,25 +140,26 @@ def _section_root(mismatch: Callable[[np.ndarray], np.ndarray], lo: float, hi: f
         f = mismatch(grid)
 
 
-def _sweep_root(mismatch: Callable[[np.ndarray], np.ndarray], bracket: Tuple[float, float],
-                guess: float, step: Optional[float], component: int) -> float:
-    """``_section_root`` for one component in a coordinate sweep.
+def _sweep_component(section: Callable[[float, float], float],
+                     bracket: Tuple[float, float], guess: float,
+                     step: Optional[float]) -> float:
+    """One component's ``section(lo, hi)`` search in a coordinate sweep.
 
     After the first sweep (``step`` is the largest move of eta in the last
-    one) the root is searched first on a bracket of half-width 2 * step
-    around the previous root, widened SECTIONS-fold while it holds no sign
-    change, and on the full ``bracket`` only once that is reached.
+    one) the search runs first on a bracket of half-width 2 * step around the
+    previous value, widened SECTIONS-fold while the search there fails
+    (RootSearchError or OptimizerError), and on the full ``bracket`` only once
+    that is reached.
     """
     lo, hi = bracket
     if step is not None:
         half = max(2.0 * step, ROOT_XTOL)
         while half < hi - lo:
             try:
-                return _section_root(mismatch, max(guess - half, lo), min(guess + half, hi),
-                                     component)
-            except RootSearchError:
+                return section(max(guess - half, lo), min(guess + half, hi))
+            except (RootSearchError, OptimizerError):
                 half *= SECTIONS
-    return _section_root(mismatch, lo, hi, component)
+    return section(lo, hi)
 
 
 def _section_minimum(objective: Callable[[np.ndarray], np.ndarray],
@@ -219,68 +219,63 @@ def select_initial(strategy: str, ycum: CusumSeries, spec: ModelSpec,
     """Pick the initial value of the cumulative model given structural estimates.
 
     Strategies: fix the first cumulative sample; match the last cumulative
-    sample by K-section root search per component (coordinate sweeps when
-    d > 1); or minimize the summed squared trajectory residual, by K-section
-    for d = 1 and a simplex search seeded at the first sample for d > 1.
+    sample by K-section root search per component; or minimize the summed
+    squared trajectory residual by K-section per component.  The two searches
+    start at the first sample and sweep the components in turn on
+    ``_last_point_bracket``: one sweep when d = 1, else up to 50 until eta
+    moves by less than 1e-10, keeping the last sweep's eta at that cap.
     Every K-section pass integrates its candidates in one batched
-    ``solve_grey`` call over ``_last_point_bracket``.
+    ``solve_grey`` call.
     """
     y = ycum.cum_values
     if strategy == FIX_FIRST:
         return y[0].copy()
+    eta = y[0].astype(float).copy()
 
-    def trajectories(etas):
-        batch = [ParameterSet(theta_L, theta_N, eta, beta=beta, form=GREY_FORM)
-                 for eta in etas]
+    def trajectories(values, i):
+        # eta with component i replaced by each of the values, in one pass
+        etas = np.repeat(eta[None, :], values.size, axis=0)
+        etas[:, i] = values
+        batch = [ParameterSet(theta_L, theta_N, row, beta=beta, form=GREY_FORM)
+                 for row in etas]
         return solve_grey(spec, batch, ycum.times)
 
+    brackets = [_last_point_bracket(column) for column in y.T]
     if strategy == FIX_LAST:
-        target = y[-1]
-        eta = y[0].astype(float).copy()
-
-        def component_mismatch(values, i):
-            etas = np.repeat(eta[None, :], values.size, axis=0)
-            etas[:, i] = values
-            traj = trajectories(etas)
-            f = traj.states[-1, :, i] - target[i]
+        def mismatch(values, i):
+            traj = trajectories(values, i)
+            f = traj.states[-1, :, i] - y[-1, i]
             rows = np.flatnonzero(traj.row_blowup_index >= 0)
             # use the last finite state as a signed surrogate so the
             # bracket stays usable when a candidate's trajectory diverges
             last = np.maximum(traj.row_blowup_index[rows] - 1, 0)
-            f[rows] = np.where(traj.states[last, rows, i] - target[i] >= 0.0, 1e30, -1e30)
+            f[rows] = np.where(traj.states[last, rows, i] - y[-1, i] >= 0.0, 1e30, -1e30)
             return f
 
-        sweeps = 1 if spec.dimension == 1 else 50
-        step = None
-        for _ in range(sweeps):
-            previous = eta.copy()
-            for i in range(spec.dimension):
-                eta[i] = _sweep_root(lambda values: component_mismatch(values, i),
-                                     _last_point_bracket(y[:, i]), eta[i], step, i)
-            step = float(np.max(np.abs(eta - previous)))
-            if step < 1e-10:
-                break
-        return eta
+        def section(i, lo, hi):
+            return _section_root(lambda values: mismatch(values, i), lo, hi, i)
+    elif strategy == RESIDUAL_CORRECTION:
+        # a basis defined for y > 0 only keeps every candidate inside its domain
+        positive = spec.basis is not None and spec.basis.positive_only
+        floor = np.finfo(float).tiny if positive else -np.inf
+        brackets = [(max(lo, floor), hi) for lo, hi in brackets]
 
-    if strategy == RESIDUAL_CORRECTION:
-        if spec.dimension == 1:
-            lo, hi = _last_point_bracket(y[:, 0])
-            # a basis defined for y > 0 only keeps every candidate inside its domain
-            positive = spec.basis is not None and spec.basis.positive_only
-            floor = np.finfo(float).tiny if positive else -np.inf
-            best = _section_minimum(lambda grid: _summed_squares(trajectories(grid[:, None]), y),
-                                    max(lo, floor), hi, floor)
-            return np.array([best])
-        result = optimize.minimize(
-            lambda eta: float(_summed_squares(trajectories([eta]), y)[0]), y[0],
-            method="Nelder-Mead",
-            options={"maxiter": 500, "fatol": 1e-10, "xatol": 1e-8},
-        )
-        if not result.success:
-            raise OptimizerError(f"residual-correction search did not converge: {result.message}")
-        return np.atleast_1d(result.x)
+        def section(i, lo, hi):
+            return _section_minimum(lambda values: _summed_squares(trajectories(values, i), y),
+                                    lo, hi, floor)
+    else:
+        raise ConfigError(f"unknown initial_value_strategy {strategy!r}")
 
-    raise ConfigError(f"unknown initial_value_strategy {strategy!r}")
+    step = None
+    for _ in range(1 if spec.dimension == 1 else 50):
+        previous = eta.copy()
+        for i in range(spec.dimension):
+            eta[i] = _sweep_component(lambda lo, hi: section(i, lo, hi), brackets[i],
+                                      eta[i], step)
+        step = float(np.max(np.abs(eta - previous)))
+        if step < 1e-10:
+            break
+    return eta
 
 
 def masked_row_solve(design: np.ndarray, targets: np.ndarray,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import (
     ConfigError,
@@ -148,9 +147,9 @@ def recover_parameters(pi: TransformedParameters, spec: ModelSpec) -> ParameterS
     basis = spec.basis
     if isinstance(basis, PolynomialUnivariate):
         phi, varphi = polynomial_shift_coefficients(float(eta[0]), spec.p)
-        # theta_N varphi = vartheta_N with varphi lower-triangular, unit diagonal
-        theta_N = solve_triangular(varphi.T, pi.vartheta_N.T,
-                                   lower=False, unit_diagonal=True).T
+        # theta_N varphi = vartheta_N with varphi lower-triangular, unit diagonal;
+        # the solve is exact for the 1 x 1 varphi of p = 1
+        theta_N = np.linalg.solve(varphi.T, pi.vartheta_N.T).T
         theta_L = pi.vartheta_L - (theta_N @ phi).reshape(1, 1)
     elif isinstance(basis, QuadraticMultivariate):
         theta_N = pi.vartheta_N
@@ -262,7 +261,8 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
     # the loop skips failing candidates, so reject an unknown family or an
     # unusable series here, where the error can still say what is wrong
     power_family_spec(family, lo).check_series(fit_series)
-    count = int(round((hi - lo) / step)) + 1
+    # the small slack keeps hi itself when (hi - lo) / step rounds just below an integer
+    count = math.floor((hi - lo) / step + 1e-9) + 1
     fits = []
     for i in range(count):
         try:

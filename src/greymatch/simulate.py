@@ -104,6 +104,8 @@ class ScenarioConfig:
         # the CSV writers join fields with commas and rows with newlines, unquoted
         if any(c in self.scenario_id for c in ",\r\n"):
             raise ConfigError(f"scenario_id {self.scenario_id!r} has a comma or line break")
+        if not self.estimators:
+            raise ConfigError("estimators must name at least one estimator")
         for estimator in self.estimators:
             if estimator not in KNOWN_ESTIMATORS:
                 raise ConfigError(f"unknown estimator {estimator!r}")

@@ -395,6 +395,7 @@ class TestMalformedInput:
         ("mc", [5], 6, "[0]"),
         ("mc", dict(SCENARIO, truth=5), 6, "'truth'"),
         ("mc", dict(SCENARIO, estimators=5), 6, "'estimators'"),
+        ("mc", dict(SCENARIO, estimators=[]), 6, "at least one estimator"),
         ("mc", dict(SCENARIO, n="x"), 6, "'n'"),
         ("mc", dict(SCENARIO, replications=2.9), 6, "'replications'"),
         ("mc", dict(SCENARIO, seed=7.5), 6, "'seed'"),
@@ -404,7 +405,8 @@ class TestMalformedInput:
     ], ids=["fit_number", "diagnostics_number", "times_number", "times_strings",
             "reduced_theta_N_empty", "reduced_theta_N_scalar", "reduced_spec_degree_5",
             "grey_theta_N_empty", "grey_theta_N_scalar", "grey_spec_degree_5",
-            "scenario_list_of_number", "truth_number", "estimators_number", "n_string",
+            "scenario_list_of_number", "truth_number", "estimators_number",
+            "estimators_empty", "n_string",
             "replications_fraction", "seed_fraction", "n_fraction", "replications_bool",
             "seed_bool"])
     def test_json_of_the_wrong_shape(self, tmp_path, capsys, command, doc, code, named):

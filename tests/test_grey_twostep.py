@@ -258,6 +258,20 @@ def count_solves(monkeypatch):
     return sizes
 
 
+def two_species_structure(T, noise):
+    """Cumulative series, spec and structural estimates of a two-species grey fit
+    on a weakly coupled LV truth sampled at h = 0.1, with multiplicative noise."""
+    spec = lotka_volterra_spec()
+    truth = ParameterSet([[0.3, 0.0], [0.0, -0.2]], [[0.0, -0.1, 0.0], [0.0, 0.1, 0.0]],
+                         [5.0, 3.0], form=REDUCED_FORM)
+    times = np.arange(0.0, T + 1e-9, 0.1)
+    states = solve_reduced(spec, truth, times).states[:, :2]
+    states = states * (1.0 + noise * np.random.default_rng(3).standard_normal(states.shape))
+    ts = TimeSeries(times, states)
+    fit = fit_grey(ts, spec)
+    return cusum(ts), spec, fit.params.theta_L, fit.params.theta_N
+
+
 YEARLY = pytest.mark.parametrize("dataset", [sewage_discharge, water_use],
                                  ids=["sewage", "water"])
 
@@ -297,18 +311,23 @@ class TestBatchedSearch:
                 <= summed_squares(ycum, spec, theta_L, theta_N, reference))
 
     def test_two_species_fix_last_matches_serial_sweep(self, monkeypatch):
-        spec = lotka_volterra_spec()
-        truth = ParameterSet([[0.3, 0.0], [0.0, -0.2]], [[0.0, -0.1, 0.0], [0.0, 0.1, 0.0]],
-                             [5.0, 3.0], form=REDUCED_FORM)
-        times = np.arange(0.0, 0.6 + 1e-9, 0.1)
-        ts = TimeSeries(times, solve_reduced(spec, truth, times).states[:, :2])
-        fit = fit_grey(ts, spec)
-        ycum = cusum(ts)
-        reference = serial_fix_last(ycum, spec, fit.params.theta_L, fit.params.theta_N)
+        ycum, spec, theta_L, theta_N = two_species_structure(0.6, 0.0)
+        reference = serial_fix_last(ycum, spec, theta_L, theta_N)
         sizes = count_solves(monkeypatch)
-        eta = select_initial(FIX_LAST, ycum, spec, fit.params.theta_L, fit.params.theta_N)
+        eta = select_initial(FIX_LAST, ycum, spec, theta_L, theta_N)
         assert set(sizes) == {grey_twostep.SECTIONS + 1}
         assert np.all(np.abs(eta - reference) <= 1e-12 * np.abs(reference))
+
+    @pytest.mark.parametrize("T, noise", [(0.6, 0.0), (1.0, 0.04)], ids=["clean", "noisy"])
+    def test_two_species_residual_correction_matches_nelder_mead(self, monkeypatch, T, noise):
+        ycum, spec, theta_L, theta_N = two_species_structure(T, noise)
+        reference = serial_residual_correction(ycum, spec, theta_L, theta_N)
+        sizes = count_solves(monkeypatch)
+        eta = select_initial(RESIDUAL_CORRECTION, ycum, spec, theta_L, theta_N)
+        assert sizes and set(sizes) == {grey_twostep.SECTIONS + 1}
+        assert np.all(np.abs(eta - reference) <= 1e-7 * np.abs(reference))
+        assert (summed_squares(ycum, spec, theta_L, theta_N, eta)
+                <= summed_squares(ycum, spec, theta_L, theta_N, reference))
 
     def test_no_sign_change_is_a_root_search_error(self):
         # dy/dt = 5 y overshoots the last sample from every eta in [0.5, 2.5]

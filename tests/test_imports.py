@@ -7,9 +7,35 @@ the shared helpers; any other private helper used by two modules belongs in
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+from greymatch.datasets import SEWAGE_VALUES
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "greymatch"
+
+#: runs the command line with every ``scipy`` import failing
+WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was imported")
+from greymatch.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -88,3 +114,22 @@ def test_private_names_imported_only_from_core():
                  if name is not None and name.startswith("_") and not name.startswith("__")
                  and source != "core"]
     assert not offenders, offenders
+
+
+def run_without_scipy(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_runs_without_scipy(tmp_path):
+    table = run_without_scipy("reproduce", "--table", "3", "--out-dir", str(tmp_path / "t3"))
+    assert table.returncode == 0, table.stderr
+    series = tmp_path / "sewage.csv"
+    series.write_text("t,x1\n" + "".join(f"{t},{v}\n" for t, v in enumerate(SEWAGE_VALUES, 1)))
+    fit = run_without_scipy("fit", str(series), "--model", "igvm", "--method", "grey",
+                            "--init-strategy", "residual_correction",
+                            "--out-dir", str(tmp_path / "fit"))
+    assert fit.returncode == 0, fit.stderr
+

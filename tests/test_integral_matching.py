@@ -340,6 +340,16 @@ class TestGammaSearch:
         assert len(calls) == 201
         assert np.allclose(np.diff(calls), 0.01)
 
+    @pytest.mark.parametrize("search_range, step, fitted", [
+        ((0.0, 0.78), 0.3, [0.0, 0.3, 0.6]),
+        ((0.0, 3.5), 1.0, [0.0, 1.0, 2.0, 3.0]),
+        ((0.6, 1.0), 0.05, [0.6 + 0.05 * i for i in range(9)]),
+    ], ids=["short_last_step", "half_step_left", "hi_on_the_grid"])
+    def test_candidates_stop_at_the_range_end(self, monkeypatch, search_range, step, fitted):
+        calls = count_power_fits(monkeypatch)
+        gamma_line_search(sewage_discharge(), "ingbm", search_range, step, split=TRAIN_SIZE)
+        assert calls == pytest.approx(fitted, abs=1e-12)
+
     @pytest.mark.parametrize("family", ["ingm", "ingbm"])
     @pytest.mark.parametrize("dataset", [sewage_discharge, water_use],
                              ids=["sewage", "water"])

@@ -52,6 +52,8 @@ class TestScenarioConfig:
             small_config(replications=0)
         with pytest.raises(ConfigError):
             small_config(estimators=("nope",))
+        with pytest.raises(ConfigError, match="at least one estimator"):
+            small_config(estimators=())
         with pytest.raises(ConfigError, match="n must"):
             small_config(n=0)
         with pytest.raises(ConfigError, match="seed"):
