@@ -211,27 +211,15 @@ def _spec_from_json(doc: dict) -> ModelSpec:
 
 def grey_parameter_dict(params: ParameterSet, spec: ModelSpec) -> dict:
     """Flat grey-form parameter names: a, b_m, beta, eta_i (indexed when d > 1)."""
-    out = {}
-    d, p = spec.dimension, params.p
-    if d == 1:
-        out["a"] = float(params.theta_L[0, 0])
-        for m in range(p):
-            out[f"b_{m + 1}"] = float(params.theta_N[0, m])
-        if params.beta is not None:
-            out["beta"] = float(params.beta[0])
-        out["eta_1"] = float(params.eta[0])
-        return out
-    for i in range(d):
-        for j in range(d):
-            out[f"a_{i + 1}_{j + 1}"] = float(params.theta_L[i, j])
-    for i in range(d):
-        for m in range(p):
-            out[f"b_{i + 1}_{m + 1}"] = float(params.theta_N[i, m])
+    d = spec.dimension
+    # the row index is left out of every name but eta's when d = 1
+    row = [""] if d == 1 else [f"_{i + 1}" for i in range(d)]
+    out = {f"a{row[i]}{row[j]}": float(params.theta_L[i, j]) for i, j in np.ndindex(d, d)}
+    out.update((f"b{row[i]}_{m + 1}", float(params.theta_N[i, m]))
+               for i, m in np.ndindex(d, params.p))
     if params.beta is not None:
-        for i in range(d):
-            out[f"beta_{i + 1}"] = float(params.beta[i])
-    for i in range(d):
-        out[f"eta_{i + 1}"] = float(params.eta[i])
+        out.update((f"beta{row[i]}", float(params.beta[i])) for i in range(d))
+    out.update((f"eta_{i + 1}", float(params.eta[i])) for i in range(d))
     return out
 
 

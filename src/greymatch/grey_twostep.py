@@ -25,7 +25,7 @@ from .core import (
     SingularDesignError,
     TimeSeries,
 )
-from .ode import Trajectory, solve_grey
+from .ode import solve_grey
 from .transform import CusumSeries, cusum
 
 FIX_FIRST = "fix_first"
@@ -38,11 +38,12 @@ RANK_TOLERANCE = 1e-10
 
 #: cells per pass of the initial-value K-section search (K + 1 candidates)
 SECTIONS = 64
-#: absolute width at which the last-point root search stops (brentq's ``xtol``)
+#: absolute width at which the last-point search stops (brentq's ``xtol``), and
+#: the relative last-point mismatch a d > 1 root may leave
 ROOT_XTOL = 1e-12
 #: cell width at which the residual search stops (Nelder-Mead's ``xatol``)
 MIN_XATOL = 1e-8
-#: times the residual search may widen its bracket past an end holding the minimum
+#: bracket widenings and window moves a minimum search may make
 MAX_WIDENINGS = 20
 
 
@@ -140,76 +141,72 @@ def _section_root(mismatch: Callable[[np.ndarray], np.ndarray], lo: float, hi: f
         f = mismatch(grid)
 
 
-def _sweep_component(section: Callable[[float, float], float],
-                     bracket: Tuple[float, float], guess: float,
-                     step: Optional[float]) -> float:
-    """One component's ``section(lo, hi)`` search in a coordinate sweep.
+def _section_minimum(objective: Callable[[np.ndarray], np.ndarray], lo, hi,
+                     floor: float = -np.inf, xtol: float = MIN_XATOL) -> Tuple[np.ndarray, float]:
+    """Minimizer of ``objective`` on the box [lo, hi] by joint K-section passes.
 
-    After the first sweep (``step`` is the largest move of eta in the last
-    one) the search runs first on a bracket of half-width 2 * step around the
-    previous value, widened SECTIONS-fold while the search there fails
-    (RootSearchError or OptimizerError), and on the full ``bracket`` only once
-    that is reached.
+    A pass evaluates a grid of K + 1 points per axis, window ends included,
+    with K = round(SECTIONS ** (1 / d)): ``objective`` maps the (N, d)
+    candidates of a pass to their N values in one call.  Each axis then
+    keeps the two cells around the smallest value.  A smallest value on an
+    end of the bracket instead widens the bracket past that end by its width,
+    never below ``floor``; one on another window edge moves the window to
+    centre on it at twice its width, and the other axes' windows recentre on
+    it at their width (a pattern-search move).  The search stops when no
+    axis moves and every axis' cell is at most ``xtol * K / SECTIONS`` wide
+    or no longer shrinks, and returns the candidate with the smallest value
+    seen and that value.  A pass that would make move ``MAX_WIDENINGS + 1``,
+    or widen past ``floor``, raises OptimizerError: the minimum is not inside.
     """
-    lo, hi = bracket
-    if step is not None:
-        half = max(2.0 * step, ROOT_XTOL)
-        while half < hi - lo:
-            try:
-                return section(max(guess - half, lo), min(guess + half, hi))
-            except (RootSearchError, OptimizerError):
-                half *= SECTIONS
-    return section(lo, hi)
-
-
-def _section_minimum(objective: Callable[[np.ndarray], np.ndarray],
-                     lo: float, hi: float, floor: float = -np.inf) -> float:
-    """Minimizer of ``objective`` on [lo, hi] by K-section on grids of SECTIONS + 1 points.
-
-    Each pass keeps the two cells around its smallest value, until a cell is
-    at most ``MIN_XATOL`` wide (Nelder-Mead's ``xatol``) or no longer
-    shrinks, and the smallest value seen is returned.  A smallest value on
-    an end of the bracket widens the bracket past that end by its width,
-    never below ``floor``; one still on an end after ``MAX_WIDENINGS``
-    widenings, or on ``floor``, raises OptimizerError: the minimum is not
-    inside.
-    """
-    a, b = lo, hi
-    widenings = 0
-    best, best_value = None, np.inf
+    lo, hi = np.array([lo, hi], dtype=float).reshape(2, -1)
+    d = lo.size
+    cells = round(SECTIONS ** (1.0 / d))
+    a, b = lo.copy(), hi.copy()
+    moves, best, best_value = 0, None, np.inf
     while True:
-        grid = np.linspace(a, b, SECTIONS + 1)
-        values = objective(grid)
-        j = int(np.argmin(values))
-        if values[j] < best_value:
-            best, best_value = float(grid[j]), values[j]
-        if grid[j] == lo or grid[j] == hi:
-            if widenings == MAX_WIDENINGS or grid[j] <= floor:
+        axes = [np.linspace(a[i], b[i], cells + 1) for i in range(d)]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        values = objective(points)
+        flat = int(np.argmin(values))
+        if values.flat[flat] < best_value:
+            best, best_value = points[flat].copy(), float(values.flat[flat])
+        index = np.unravel_index(flat, (cells + 1,) * d)
+        moved, done = any(j in (0, cells) for j in index), True
+        for i, j in enumerate(index):
+            grid, edge = axes[i], j in (0, cells)
+            if edge and (moves == MAX_WIDENINGS or grid[j] <= floor):
+                where = "bracket end" if grid[j] in (lo[i], hi[i]) else "window edge"
                 raise OptimizerError(
-                    f"residual-correction minimum lies on the bracket end {grid[j]:.6g} "
-                    f"of [{lo:.6g}, {hi:.6g}]"
+                    f"minimum lies on the {where} {grid[j]:.6g} of component {i} "
+                    f"after {moves} moves of its bracket [{lo[i]:.6g}, {hi[i]:.6g}]"
                 )
-            widenings += 1
-            if grid[j] == lo:
-                lo = max(lo - (hi - lo), floor)
-                a, b = lo, grid[1]
+            if edge and grid[j] == lo[i]:
+                lo[i] = max(lo[i] - (hi[i] - lo[i]), floor)
+                a[i], b[i] = lo[i], grid[1]
+            elif edge and grid[j] == hi[i]:
+                hi[i] = hi[i] + (hi[i] - lo[i])
+                a[i], b[i] = grid[-2], hi[i]
+            elif moved:
+                # centre the window on the best value, at twice its width on its edge
+                half = (b[i] - a[i]) * (1.0 if edge else 0.5)
+                a[i], b[i] = max(grid[j] - half, lo[i]), min(grid[j] + half, hi[i])
             else:
-                hi = hi + (hi - lo)
-                a, b = grid[-2], hi
-            continue
-        j = min(max(j, 1), SECTIONS - 1)
-        if grid[1] - grid[0] <= MIN_XATOL or (grid[j - 1], grid[j + 1]) == (a, b):
-            return best
-        a, b = grid[j - 1], grid[j + 1]
+                done &= bool(grid[1] - grid[0] <= xtol * cells / SECTIONS
+                             or (grid[j - 1], grid[j + 1]) == (a[i], b[i]))
+                a[i], b[i] = grid[j - 1], grid[j + 1]
+        if moved:
+            moves += 1
+        elif done:
+            return best, best_value
 
 
-def _summed_squares(traj: Trajectory, y: np.ndarray) -> np.ndarray:
-    """Summed squared residual of each row of a batched trajectory against y;
+def _summed_squares(states: np.ndarray, blowup_index: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Summed squared residual against y of each row of batched (n, B, d) states;
     1e300 for a row that blew up.  Each row is summed as the (n, d) residual
     of a one-row trajectory would be."""
-    residual = np.ascontiguousarray(np.moveaxis(traj.states, 1, 0)) - y
+    residual = np.ascontiguousarray(np.moveaxis(states, 1, 0)) - y
     values = np.sum((residual ** 2).reshape(residual.shape[0], -1), axis=1)
-    values[traj.row_blowup_index >= 0] = 1e300
+    values[blowup_index >= 0] = 1e300
     return values
 
 
@@ -219,62 +216,61 @@ def select_initial(strategy: str, ycum: CusumSeries, spec: ModelSpec,
     """Pick the initial value of the cumulative model given structural estimates.
 
     Strategies: fix the first cumulative sample; match the last cumulative
-    sample by K-section root search per component; or minimize the summed
-    squared trajectory residual by K-section per component.  The two searches
-    start at the first sample and sweep the components in turn on
-    ``_last_point_bracket``: one sweep when d = 1, else up to 50 until eta
-    moves by less than 1e-10, keeping the last sweep's eta at that cap.
-    Every K-section pass integrates its candidates in one batched
-    ``solve_grey`` call.
+    sample; or minimize the summed squared trajectory residual.  The searches
+    start on the box of ``_last_point_bracket`` per component.  ``fix_last``
+    with d = 1 is a K-section root search (``_section_root``).  Every other
+    search is one joint K-section minimization over all components
+    (``_section_minimum``): of the residual, or for ``fix_last`` of the
+    summed squared last-point mismatch, whose minimum is a root only if its
+    norm is at most ``ROOT_XTOL`` times the smallest last sample, so that
+    every component matches within ``ROOT_XTOL`` relative.  Every pass
+    integrates its candidates in one batched ``solve_grey`` call.
     """
     y = ycum.cum_values
     if strategy == FIX_FIRST:
         return y[0].copy()
-    eta = y[0].astype(float).copy()
+    if strategy not in INITIAL_STRATEGIES:
+        raise ConfigError(f"unknown initial_value_strategy {strategy!r}")
 
-    def trajectories(values, i):
-        # eta with component i replaced by each of the values, in one pass
-        etas = np.repeat(eta[None, :], values.size, axis=0)
-        etas[:, i] = values
+    def trajectories(etas):
         batch = [ParameterSet(theta_L, theta_N, row, beta=beta, form=GREY_FORM)
                  for row in etas]
         return solve_grey(spec, batch, ycum.times)
 
-    brackets = [_last_point_bracket(column) for column in y.T]
-    if strategy == FIX_LAST:
-        def mismatch(values, i):
-            traj = trajectories(values, i)
-            f = traj.states[-1, :, i] - y[-1, i]
+    lo, hi = np.array([_last_point_bracket(column) for column in y.T]).T
+    if strategy == FIX_LAST and spec.dimension == 1:
+        def mismatch(values):
+            traj = trajectories(values[:, None])
+            f = traj.states[-1, :, 0] - y[-1, 0]
             rows = np.flatnonzero(traj.row_blowup_index >= 0)
             # use the last finite state as a signed surrogate so the
             # bracket stays usable when a candidate's trajectory diverges
             last = np.maximum(traj.row_blowup_index[rows] - 1, 0)
-            f[rows] = np.where(traj.states[last, rows, i] - y[-1, i] >= 0.0, 1e30, -1e30)
+            f[rows] = np.where(traj.states[last, rows, 0] - y[-1, 0] >= 0.0, 1e30, -1e30)
             return f
 
-        def section(i, lo, hi):
-            return _section_root(lambda values: mismatch(values, i), lo, hi, i)
-    elif strategy == RESIDUAL_CORRECTION:
-        # a basis defined for y > 0 only keeps every candidate inside its domain
-        positive = spec.basis is not None and spec.basis.positive_only
-        floor = np.finfo(float).tiny if positive else -np.inf
-        brackets = [(max(lo, floor), hi) for lo, hi in brackets]
+        return np.array([_section_root(mismatch, lo[0], hi[0], 0)])
 
-        def section(i, lo, hi):
-            return _section_minimum(lambda values: _summed_squares(trajectories(values, i), y),
-                                    lo, hi, floor)
-    else:
-        raise ConfigError(f"unknown initial_value_strategy {strategy!r}")
+    # fix_last scores the last sample only
+    samples = slice(-1, None) if strategy == FIX_LAST else slice(None)
 
-    step = None
-    for _ in range(1 if spec.dimension == 1 else 50):
-        previous = eta.copy()
-        for i in range(spec.dimension):
-            eta[i] = _sweep_component(lambda lo, hi: section(i, lo, hi), brackets[i],
-                                      eta[i], step)
-        step = float(np.max(np.abs(eta - previous)))
-        if step < 1e-10:
-            break
+    def objective(etas):
+        traj = trajectories(etas)
+        return _summed_squares(traj.states[samples], traj.row_blowup_index, y[samples])
+
+    # a basis defined for y > 0 only keeps every candidate inside its domain
+    positive = spec.basis is not None and spec.basis.positive_only
+    floor = np.finfo(float).tiny if positive else -np.inf
+    lo = np.maximum(lo, floor)
+    if strategy == RESIDUAL_CORRECTION:
+        return _section_minimum(objective, lo, hi, floor)[0]
+    try:
+        eta, value = _section_minimum(objective, lo, hi, floor, ROOT_XTOL)
+    except OptimizerError as exc:
+        raise RootSearchError(f"no last-point root: {exc}") from None
+    if not np.sqrt(value) <= ROOT_XTOL * np.min(np.abs(y[-1])):
+        raise RootSearchError(f"no last-point root: the best eta misses the last "
+                              f"samples by {np.sqrt(value):.3g} in norm")
     return eta
 
 

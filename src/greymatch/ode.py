@@ -82,7 +82,10 @@ def default_substeps(times) -> int:
     h = np.diff(np.asarray(times, dtype=float))
     if h.size == 0:
         return 1
-    return max(1, int(math.ceil(float(h.max()) / DEFAULT_MAX_STEP - 1e-12)))
+    count = float(h.max()) / DEFAULT_MAX_STEP - 1e-12
+    if not math.isfinite(count):
+        raise ConfigError("the spacing of the time grid overflows the substep count")
+    return max(1, int(math.ceil(count)))
 
 
 def _within_guard(state: np.ndarray) -> bool:
@@ -273,16 +276,19 @@ def extend_times(times: np.ndarray, horizon: int,
         raise ConfigError("horizon must be >= 0")
     if horizon == 0:
         return times.copy()
-    if future_times is not None:
-        future = np.asarray(future_times, dtype=float)
-        if future.size != horizon:
-            raise ConfigError(f"expected {horizon} future stamps, got {future.size}")
-        grid = np.concatenate([times, future])
-        if not np.all(np.diff(grid) > 0):
-            raise ConfigError("future stamps must continue the grid strictly increasing")
-        return grid
-    mean_h = (times[-1] - times[0]) / (times.size - 1)
-    return np.concatenate([times, times[-1] + mean_h * np.arange(1, horizon + 1)])
+    if future_times is None:
+        mean_h = (times[-1] - times[0]) / (times.size - 1)
+        with np.errstate(over="ignore"):
+            future_times = times[-1] + mean_h * np.arange(1, horizon + 1)
+    future = np.asarray(future_times, dtype=float)
+    if future.size != horizon:
+        raise ConfigError(f"expected {horizon} future stamps, got {future.size}")
+    grid = np.concatenate([times, future])
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError("the extended time grid overflows")
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError("future stamps must continue the grid strictly increasing")
+    return grid
 
 
 def _is_power_reduced(fit: FitResult) -> bool:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, _readonly
+from .core import ConfigError, TimeSeries, _readonly
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,17 @@ def _cusum_weights(times: np.ndarray) -> np.ndarray:
     return h
 
 
+def _finite(sums: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(sums)):
+        raise ConfigError("the cumulative sums of the series overflow")
+    return sums
+
+
 def cusum(ts: TimeSeries) -> CusumSeries:
-    """y(t_k) = sum_{i<=k} h_i x(t_i) with h_1 = 1 and h_k = t_k - t_{k-1}."""
+    """y(t_k) = sum_{i<=k} h_i x(t_i), h_1 = 1, h_k = t_k - t_{k-1}; ConfigError on overflow."""
     h = _cusum_weights(ts.times)
-    return CusumSeries(ts.times, np.cumsum(h[:, None] * ts.values, axis=0))
+    with np.errstate(over="ignore"):
+        return CusumSeries(ts.times, _finite(np.cumsum(h[:, None] * ts.values, axis=0)))
 
 
 def difference_cumulative(times: np.ndarray, cum_values: np.ndarray) -> np.ndarray:
@@ -59,11 +66,12 @@ def trapezoid_cumulative(ts: TimeSeries) -> np.ndarray:
     Row 1 is the empty integral (zero); row k accumulates
     h_i (x(t_{i-1}) + x(t_i)) / 2 for i = 2..k.  Sums are plain sequential
     accumulations; for the sample counts this package targets (n <= 1e4) the
-    round-off is far below the discretization error.
+    round-off is far below the discretization error.  ConfigError on overflow.
     """
     x = ts.values
     out = np.zeros_like(x)
     if ts.n > 1:
         h = np.diff(ts.times)
-        out[1:] = np.cumsum(0.5 * h[:, None] * (x[:-1] + x[1:]), axis=0)
-    return out
+        with np.errstate(over="ignore"):
+            out[1:] = np.cumsum(0.5 * h[:, None] * (x[:-1] + x[1:]), axis=0)
+    return _finite(out)

@@ -1,10 +1,16 @@
+import copy
+import functools
 import json
+import tempfile
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from greymatch import ParameterSet, REDUCED_FORM, solve_reduced, verhulst_spec
+from greymatch import (ParameterSet, REDUCED_FORM, lotka_volterra_spec, solve_reduced,
+                       verhulst_spec)
 from greymatch.cli import _load_scenarios, main, read_timeseries_csv
 from greymatch.simulate import ScenarioConfig
 from greymatch.datasets import REPORTED_FORECASTS, SEWAGE_VALUES
@@ -29,6 +35,21 @@ def write_csv(path, times, values):
         handle.write("t,x1\n")
         for t, v in zip(times, values):
             handle.write(f"{t},{v}\n")
+
+
+def write_two_species_csv(path, times, states):
+    with open(path, "w") as handle:
+        handle.write("t,x1,x2\n")
+        for t, (x1, x2) in zip(times, states):
+            handle.write(f"{t},{x1},{x2}\n")
+
+
+def two_species_states():
+    """A weakly coupled LV truth sampled at h = 0.1 on [0, 0.6]."""
+    truth = ParameterSet([[0.3, 0.0], [0.0, -0.2]], [[0.0, -0.1, 0.0], [0.0, 0.1, 0.0]],
+                         [5.0, 3.0], form=REDUCED_FORM)
+    times = np.arange(0.0, 0.6 + 1e-9, 0.1)
+    return times, solve_reduced(lotka_volterra_spec(), truth, times).states[:, :2]
 
 
 @pytest.fixture()
@@ -143,6 +164,42 @@ class TestFitCommand:
         # a Nelder-Mead search seeded at the first sample finds 105.91046313610872
         assert abs(eta - 105.91046313610872) <= 1e-7 * 105.91046313610872
 
+    @pytest.mark.parametrize("strategy", ["fix_last", "residual_correction"])
+    def test_two_species_initial_value_searches(self, tmp_path, strategy):
+        path = tmp_path / "lv.csv"
+        write_two_species_csv(path, *two_species_states())
+        out = tmp_path / "fit"
+        assert main(["fit", str(path), "--model", "lv", "--method", "grey",
+                     "--init-strategy", strategy, "--out-dir", str(out)]) == 0
+        grey = json.loads((out / "fit.json").read_text())["grey"]
+        for name in ("theta_L", "theta_N", "eta"):
+            assert np.all(np.isfinite(grey[name]))
+        assert np.allclose(grey["eta"], [5.0, 3.0], rtol=1e-2)
+
+    def test_two_species_without_a_root_exit_6(self, tmp_path):
+        # the second species' last sample far above every trajectory's reach
+        times, states = two_species_states()
+        states = states.copy()
+        states[-1, 1] *= 50
+        path = tmp_path / "lv.csv"
+        write_two_species_csv(path, times, states)
+        out = tmp_path / "fit"
+        assert main(["fit", str(path), "--model", "lv", "--method", "grey",
+                     "--init-strategy", "fix_last", "--out-dir", str(out)]) == 6
+        error = json.loads((out / "fit.json").read_text())["error"]
+        assert (error["category"], error["exit_code"]) == ("RootSearchError", 6)
+
+    @pytest.mark.parametrize("method", ["matching", "grey"])
+    def test_overflowing_cumulative_sums_exit_6(self, tmp_path, capsys, method):
+        # the trapezoid sums (matching) or the cumulative sums (grey) pass 1.8e308
+        path = tmp_path / "late.csv"
+        write_csv(path, list(range(1, 15)) + [1e308], SEWAGE_VALUES)
+        out = tmp_path / "fit"
+        assert main(["fit", str(path), "--model", "igvm", "--method", method,
+                     "--out-dir", str(out)]) == 6
+        assert "overflow" in capsys.readouterr().err
+        assert json.loads((out / "fit.json").read_text())["error"]["category"] == "ConfigError"
+
     def test_domain_error_in_the_fitted_values_writes_error_fit_json(self, tmp_path):
         # the fit succeeds (x(t1) + x~ > 0 on the first 6 samples), its trajectory leaves y > 0
         path = tmp_path / "falling.csv"
@@ -242,6 +299,19 @@ class TestForecastCommand:
         assert main(["forecast", str(fit_dir / "fit.json"), "--horizon", "40",
                      "--out-dir", str(fc_dir)]) == 4
         assert not (fc_dir / "forecast.csv").exists()
+
+    @pytest.mark.parametrize("horizon", ["1", "40"])
+    def test_overflowing_time_grid_exit_6(self, sewage_csv, tmp_path, capsys, horizon):
+        # one step of the grid overflows the substep count; 40 more stamps overflow the grid
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", sewage_csv, "--model", "igvm", "--out-dir", str(fit_dir)]) == 0
+        doc = json.loads((fit_dir / "fit.json").read_text())
+        doc["times"][14] = 1e308
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(doc))
+        assert main(["forecast", str(path), "--horizon", horizon,
+                     "--out-dir", str(tmp_path / "fc")]) == 6
+        assert "overflows" in capsys.readouterr().err
 
     def test_malformed_fit_json(self, tmp_path):
         path = tmp_path / "fit.json"
@@ -428,3 +498,59 @@ class TestMalformedInput:
         (scenario,) = _load_scenarios(str(path), None)
         assert (scenario.replications, scenario.seed, scenario.n) == (3, 7, 21)
         assert type(scenario.replications) is int
+
+
+#: ``fit`` flags of the real documents the forecast fuzzer edits, all on the sewage series
+FUZZ_FITS = {"matching": ["--model", "igvm"],
+             "grey": ["--model", "igvm", "--method", "grey"],
+             "ingbm": ["--model", "ingbm", "--gamma", "0.63"]}
+DELETE = "<delete the key>"
+FUZZ_VALUES = (5, -1, 0, 1.5, "x", None, [], {}, [1.0], [[1.0]], True, 1e308, [[]], DELETE)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_documents():
+    """The fit.json of each ``FUZZ_FITS`` fit, made once; callers copy before editing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "sewage.csv"
+        write_csv(csv, range(1, 16), SEWAGE_VALUES)
+        docs = {}
+        for kind, flags in FUZZ_FITS.items():
+            assert main(["fit", str(csv), *flags, "--out-dir", str(Path(tmp) / kind)]) == 0
+            docs[kind] = json.loads((Path(tmp) / kind / "fit.json").read_text())
+    return docs
+
+
+def key_paths(node, prefix=()):
+    """The path of every object key and list place in a JSON document."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, prefix + (key,))
+
+
+FUZZ_CASES = st.sampled_from(sorted(FUZZ_FITS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.sampled_from(list(key_paths(fuzz_documents()[kind])))))
+
+
+class TestForecastFuzz:
+    @settings(max_examples=120)
+    @example(case=("matching", ("times", -1)), value=1e308)
+    @example(case=("grey", ("times", -1)), value=1e308)
+    @example(case=("ingbm", ("times", -1)), value=1e308)
+    @given(case=FUZZ_CASES, value=st.sampled_from(FUZZ_VALUES))
+    def test_every_one_key_edit_exits_with_a_code(self, case, value):
+        kind, path = case
+        doc = copy.deepcopy(fuzz_documents()[kind])
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value == DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            fit_path = Path(tmp) / "fit.json"
+            fit_path.write_text(json.dumps(doc))
+            code = main(["forecast", str(fit_path), "--horizon", "1", "--out-dir", tmp])
+        assert code in (0, 2, 3, 4, 5, 6)

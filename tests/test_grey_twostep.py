@@ -272,6 +272,9 @@ def two_species_structure(T, noise):
     return cusum(ts), spec, fit.params.theta_L, fit.params.theta_N
 
 
+#: candidates per pass of a two-component joint search: (K + 1) ** 2
+JOINT_PASS = (round(grey_twostep.SECTIONS ** (1 / 2)) + 1) ** 2
+
 YEARLY = pytest.mark.parametrize("dataset", [sewage_discharge, water_use],
                                  ids=["sewage", "water"])
 
@@ -315,7 +318,7 @@ class TestBatchedSearch:
         reference = serial_fix_last(ycum, spec, theta_L, theta_N)
         sizes = count_solves(monkeypatch)
         eta = select_initial(FIX_LAST, ycum, spec, theta_L, theta_N)
-        assert set(sizes) == {grey_twostep.SECTIONS + 1}
+        assert set(sizes) == {JOINT_PASS}
         assert np.all(np.abs(eta - reference) <= 1e-12 * np.abs(reference))
 
     @pytest.mark.parametrize("T, noise", [(0.6, 0.0), (1.0, 0.04)], ids=["clean", "noisy"])
@@ -324,10 +327,28 @@ class TestBatchedSearch:
         reference = serial_residual_correction(ycum, spec, theta_L, theta_N)
         sizes = count_solves(monkeypatch)
         eta = select_initial(RESIDUAL_CORRECTION, ycum, spec, theta_L, theta_N)
-        assert sizes and set(sizes) == {grey_twostep.SECTIONS + 1}
+        assert sizes and set(sizes) == {JOINT_PASS}
         assert np.all(np.abs(eta - reference) <= 1e-7 * np.abs(reference))
         assert (summed_squares(ycum, spec, theta_L, theta_N, eta)
                 <= summed_squares(ycum, spec, theta_L, theta_N, reference))
+
+    @pytest.mark.parametrize("T", [2.0, 3.0])
+    def test_two_species_fix_last_matches_the_last_sample(self, T):
+        # no component alone changes sign over its bracket on these fits, so a
+        # search one component at a time finds no root; the joint search does
+        ycum, spec, theta_L, theta_N = two_species_structure(T, 0.0)
+        eta = select_initial(FIX_LAST, ycum, spec, theta_L, theta_N)
+        last, y = one_row(ycum, spec, theta_L, theta_N, eta).states[-1], ycum.cum_values[-1]
+        assert np.all(np.abs(last - y) <= 1e-12 * np.abs(y))
+
+    def test_two_species_without_a_root_is_a_root_search_error(self, monkeypatch):
+        ycum, spec, theta_L, theta_N = two_species_structure(0.6, 0.0)
+        y = ycum.cum_values.copy()
+        y[-1, 1] *= 50
+        sizes = count_solves(monkeypatch)
+        with pytest.raises(RootSearchError, match="no last-point root"):
+            select_initial(FIX_LAST, CusumSeries(ycum.times, y), spec, theta_L, theta_N)
+        assert len(sizes) <= 3 * grey_twostep.MAX_WIDENINGS
 
     def test_no_sign_change_is_a_root_search_error(self):
         # dy/dt = 5 y overshoots the last sample from every eta in [0.5, 2.5]
