@@ -57,6 +57,11 @@ class ConfigError(GreyModelError):
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
+    """A read-only array of ``a``: ``a`` itself when it already owns its data and
+    is read-only (as ``rk4_integrate`` leaves its states), a copy otherwise."""
+    if isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable \
+            and a.dtype == dtype:
+        return a
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out

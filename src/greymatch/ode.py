@@ -36,6 +36,9 @@ from .core import (
 from .transform import difference_cumulative
 
 OVERFLOW_GUARD = 1e12
+#: a state whose sum of squares is below this has every entry below the guard;
+#: NaN, inf and any entry at or above the guard fail it
+GUARD_SQ = 0.5 * OVERFLOW_GUARD ** 2
 
 #: largest internal step (in sample-time units) used by the default policy.  It
 #: is the largest power of two whose worst relative error, |x - r| / |r| in the
@@ -47,6 +50,11 @@ OVERFLOW_GUARD = 1e12
 #: (h = 0.25, 0.1, 0.05) miss the target at this step: 8.4e-6, 2.7e-6, 2.7e-6.
 #: A power of two keeps every internal time exact on integer-spaced grids.
 DEFAULT_MAX_STEP = 2.0 ** -5
+
+#: most substeps the default policy takes per interval; every bundled grid
+#: needs at most 32, and a spacing past 2^11 sample-time units (Unix-second
+#: stamps, say) asks for more, so such a grid has to be rescaled first
+MAX_SUBSTEPS = 2 ** 16
 
 VectorField = Callable[[float, np.ndarray], np.ndarray]
 
@@ -85,18 +93,17 @@ def default_substeps(times) -> int:
     count = float(h.max()) / DEFAULT_MAX_STEP - 1e-12
     if not math.isfinite(count):
         raise ConfigError("the spacing of the time grid overflows the substep count")
+    if count > MAX_SUBSTEPS:
+        raise ConfigError(f"a spacing of {float(h.max()):g} needs more than {MAX_SUBSTEPS} "
+                          "RK4 substeps per interval; rescale the time axis")
     return max(1, int(math.ceil(count)))
-
-
-def _within_guard(state: np.ndarray) -> bool:
-    # NaN and +-inf fail the comparison, so this also rejects non-finite states
-    return bool(np.max(np.abs(state)) < OVERFLOW_GUARD)
 
 
 def _drop_bad_rows(state: np.ndarray, first_bad: np.ndarray, k: int) -> bool:
     """Set the rows of ``state`` that fail the guard to NaN, record ``k`` as the
     first bad sample of those newly failed, and say whether any row still runs."""
     rows = np.atleast_2d(state)    # a view, so the NaNs land in ``state``
+    # NaN and +-inf fail the comparison, so non-finite rows are bad too
     bad = ~(np.max(np.abs(rows), axis=1) < OVERFLOW_GUARD)
     first_bad[bad & (first_bad < 0)] = k
     rows[bad] = np.nan
@@ -125,7 +132,7 @@ def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajec
         raise ValueError("initial must be one state (m,) or a batch of states (B, m)")
     out = np.full((times.size,) + state.shape, np.nan)
     first_bad = np.full(state.shape[0] if state.ndim == 2 else 1, -1)
-    running = _within_guard(state) or _drop_bad_rows(state, first_bad, 0)
+    running = _drop_bad_rows(state, first_bad, 0)
     out[0] = state
     sixth = 1.0 / 6.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -142,11 +149,13 @@ def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajec
                 k4 = rhs(t + dt, state + dt * k3)
                 state = state + dt * sixth * (k1 + 2.0 * (k2 + k3) + k4)
                 t += dt
-                # one reduction per substep; rows are looked at only after a failure
-                if not _within_guard(state) and not _drop_bad_rows(state, first_bad, k):
+                # one dot product per substep; rows are looked at only after it fails
+                if not np.vdot(state, state) < GUARD_SQ \
+                        and not _drop_bad_rows(state, first_bad, k):
                     running = False
                     break
             out[k] = state
+    out.setflags(write=False)    # a fresh array Trajectory can keep without a copy
     bad = first_bad >= 0
     return Trajectory(times, out, blown_up=bool(bad.any()),
                       blowup_index=int(first_bad[bad].min()) if bad.any() else None,
@@ -157,26 +166,30 @@ def _batch(params) -> List[ParameterSet]:
     return [params] if isinstance(params, ParameterSet) else list(params)
 
 
-def _coefficients(batch: Sequence[ParameterSet]) -> List[np.ndarray]:
-    """Column c of [theta_L | theta_N] of B parameter sets, as one (B, d) array per c."""
+def _coefficients(batch: Sequence[ParameterSet]) -> np.ndarray:
+    """The columns of [theta_L | theta_N] of B parameter sets as one (C, B, d) array:
+    [c, i] is column c of set i."""
     coef = np.stack([np.hstack([p.theta_L, p.theta_N]) for p in batch])
-    return [np.ascontiguousarray(coef[:, :, c]) for c in range(coef.shape[2])]
+    return np.ascontiguousarray(coef.transpose(2, 0, 1))
 
 
-def _combine(coef: Sequence[np.ndarray], *blocks: np.ndarray) -> np.ndarray:
+def _combine(coef: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
     """sum_c coef[c] * z_c over the columns z_c of the (B, .) blocks, summed in order.
 
     An explicit elementwise sum rather than a matrix product, whose rounding
     depends on the shapes involved: row i reads row i of the blocks alone.
+    Blocks of one column each (the scalar models) are summed term by term,
+    which is the cheaper route for so few terms; wider ones as one broadcast
+    product whose terms ``accumulate`` adds strictly left to right (a
+    ``sum`` would add some of them pairwise).
     """
-    out, c = None, 0
-    for block in blocks:
-        for k in range(block.shape[1]):
-            # a one-column block is its own column: no slice on the scalar models' hot path
-            term = coef[c] * (block if block.shape[1] == 1 else block[:, k:k + 1])
-            out = term if out is None else out + term
-            c += 1
-    return out
+    if len(coef) == len(blocks):    # one column per block
+        out = coef[0] * blocks[0]
+        for c in range(1, len(blocks)):
+            out = out + coef[c] * blocks[c]
+        return out
+    columns = np.concatenate(blocks, axis=1).T[:, :, None]    # (C, B, 1)
+    return np.add.accumulate(coef * columns, axis=0)[-1]
 
 
 def grey_rhs(spec: ModelSpec, params) -> VectorField:
@@ -226,9 +239,10 @@ def reduced_augmented_rhs(spec: ModelSpec, params) -> VectorField:
     def rhs(t, u):
         x = u[:, :d]
         jac = basis.jacobian(u[:, d:])
-        jx = jac[:, :, 0] * x[:, :1]
-        for k in range(1, d):
-            jx = jx + jac[:, :, k] * x[:, k:k + 1]
+        if d == 1:
+            jx = jac[:, :, 0] * x
+        else:    # the d products of each row, added in order over the last axis
+            jx = np.add.accumulate(jac * x[:, None, :], axis=2)[:, :, -1]
         return np.concatenate([_combine(coef, x, jx), x], axis=1)
 
     return rhs

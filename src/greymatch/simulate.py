@@ -50,7 +50,7 @@ STATUS_ERROR = "error"
 
 #: replications fitted and forecast together; a fixed size, so the cut into
 #: chunks does not depend on the worker count (nor a report on the size)
-CHUNK_SIZE = 50
+CHUNK_SIZE = 250
 
 REPORT_COLUMNS = ("scenario_id", "estimator", "replication", "name", "value", "status")
 SUMMARY_COLUMNS = ("scenario_id", "estimator", "name", "count", "failures",

@@ -200,6 +200,16 @@ class TestFitCommand:
         assert "overflow" in capsys.readouterr().err
         assert json.loads((out / "fit.json").read_text())["error"]["category"] == "ConfigError"
 
+    def test_unix_second_stamps_exit_6(self, tmp_path, capsys):
+        # the fit's own trajectory would take about 1e9 substeps per yearly interval
+        path = tmp_path / "seconds.csv"
+        write_csv(path, 1.0e9 + 31_557_600.0 * np.arange(15.0), SEWAGE_VALUES)
+        out = tmp_path / "fit"
+        assert main(["fit", str(path), "--model", "ingbm", "--gamma", "0.63",
+                     "--out-dir", str(out)]) == 6
+        assert "rescale the time axis" in capsys.readouterr().err
+        assert json.loads((out / "fit.json").read_text())["error"]["category"] == "ConfigError"
+
     def test_domain_error_in_the_fitted_values_writes_error_fit_json(self, tmp_path):
         # the fit succeeds (x(t1) + x~ > 0 on the first 6 samples), its trajectory leaves y > 0
         path = tmp_path / "falling.csv"
@@ -312,6 +322,18 @@ class TestForecastCommand:
         assert main(["forecast", str(path), "--horizon", horizon,
                      "--out-dir", str(tmp_path / "fc")]) == 6
         assert "overflows" in capsys.readouterr().err
+
+    def test_huge_time_spacing_exit_6(self, sewage_csv, tmp_path, capsys):
+        # a finite spacing of 1e300 asks for about 3e301 substeps per interval
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", sewage_csv, "--model", "igvm", "--out-dir", str(fit_dir)]) == 0
+        doc = json.loads((fit_dir / "fit.json").read_text())
+        doc["times"][14] = 1e300
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(doc))
+        assert main(["forecast", str(path), "--horizon", "1",
+                     "--out-dir", str(tmp_path / "fc")]) == 6
+        assert "rescale the time axis" in capsys.readouterr().err
 
     def test_malformed_fit_json(self, tmp_path):
         path = tmp_path / "fit.json"

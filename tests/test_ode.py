@@ -67,6 +67,10 @@ class TestRK4:
         assert default_substeps([0.0, 1.0, 2.0]) == 32
         assert default_substeps(np.arange(0.0, 4.0, 0.01)) == 1
         assert default_substeps([0.0, 0.04, 0.08]) == 2
+        assert default_substeps([0.0, 2048.0]) == ode.MAX_SUBSTEPS
+        for spacing in (2049.0, 3.2e7, 1e300):
+            with pytest.raises(ConfigError, match="rescale the time axis"):
+                default_substeps([0.0, spacing])
 
     def test_verhulst_vs_closed_form(self):
         times = np.linspace(0.0, 4.0, 401)
@@ -113,6 +117,75 @@ class TestRK4:
         assert traj.blown_up and traj.blowup_index == 0
         assert list(traj.row_blowup_index) == [-1, 0]
         assert np.all(np.isfinite(traj.states[:, 0])) and np.all(np.isnan(traj.states[:, 1]))
+
+    def test_guard_prefilter_flags_the_same_rows(self):
+        # dy/dt = a y per row: y crosses 1e12 inside interval 3, y overflows to inf in
+        # the first substep, y is NaN from the start, two rows sit at 9e11, one decays
+        a = np.array([np.log(1e12) / 2.5, 1e308, 1.0, 0.0, 0.0, -0.5])[:, None]
+        y0 = np.array([1.0, 1.0, np.nan, 9e11, 9e11, 1.0])[:, None]
+        times = np.arange(5.0)
+
+        def field(rates):
+            return lambda t, y: rates * y
+
+        def check(rows):
+            batch = rk4_integrate(field(a[rows]), y0[rows], times, 4)
+            for j, i in enumerate(rows):
+                alone = rk4_integrate(field(a[i]), y0[i], times, 4)
+                assert np.array_equal(batch.states[:, j], alone.states, equal_nan=True)
+                assert batch.row_blowup_index[j] == row_index(alone)
+            flagged = [k for k in batch.row_blowup_index if k >= 0]
+            assert batch.blowup_index == (min(flagged) if flagged else None)
+            return batch
+
+        assert list(check([0, 1, 2, 3, 4, 5]).row_blowup_index) == [3, 1, 0, -1, -1, -1]
+        # the rows at 9e11 fail the sum-of-squares prefilter but not the guard
+        at_9e11 = check([3, 4, 5])
+        assert not at_9e11.blown_up
+        last = at_9e11.states[-1]
+        assert not np.vdot(last, last) < ode.GUARD_SQ
+        assert np.max(np.abs(last)) < ode.OVERFLOW_GUARD
+
+
+def sequential_combination(coef, blocks):
+    """sum_c coef[c] * z_c, one column z_c at a time, strictly left to right."""
+    columns = [block[:, k:k + 1] for block in blocks for k in range(block.shape[1])]
+    out = coef[0] * columns[0]
+    for c in range(1, len(columns)):
+        out = out + coef[c] * columns[c]
+    return out
+
+
+class TestCombine:
+    @staticmethod
+    def assert_summed_in_order(coef, blocks):
+        combined = ode._combine(coef, *blocks)
+        assert np.array_equal(combined, sequential_combination(coef, blocks))
+        for i in range(coef.shape[1]):
+            alone = ode._combine(coef[:, i:i + 1], *(block[i:i + 1] for block in blocks))
+            assert np.array_equal(alone, combined[i:i + 1])
+
+    @given(rows=st.integers(1, 70), d=st.sampled_from([1, 2, 3]),
+           widths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sums_in_order_and_row_by_row(self, rows, d, widths, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            # signs and magnitudes over many binades, so the order of the sum shows
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+        coef = draw(sum(widths), rows, d)
+        self.assert_summed_in_order(coef, [draw(rows, width) for width in widths])
+
+    def test_eight_columns_of_one_row(self):
+        # here ``np.add.reduce(axis=0)`` adds pairwise: ((1 + 0) + (u + u)) = 1 + 2u,
+        # where the sum in order rounds 1 + u back to 1 twice (u = 2^-53)
+        u = 2.0 ** -53
+        coef = np.ones((8, 1, 1))
+        block = np.array([[1.0, 0.0, u, u, 0.0, 0.0, 0.0, 0.0]])
+        self.assert_summed_in_order(coef, [block])
+        assert ode._combine(coef, block)[0, 0] == 1.0
 
 
 ERROR_TARGET = 1e-7
