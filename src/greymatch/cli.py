@@ -85,6 +85,10 @@ WORKERS_ENV = "GREYMATCH_MC_WORKERS"
 
 FIT_SCHEMA_VERSION = 1
 
+#: each scenario model's truth constructor and the keys of its optional truth object
+TRUTHS = {"verhulst": (verhulst_truth, ("a", "b", "eta")),
+          "lv": (lotka_volterra_truth, ("a1", "b1", "a2", "b2", "eta1", "eta2"))}
+
 
 class ParseError(GreyModelError):
     """Malformed input file (CSV, JSON)."""
@@ -510,14 +514,13 @@ def _scenario_from_json(doc: dict, context: str) -> ScenarioConfig:
     for key in doc:
         if key not in known:
             raise ConfigError(f"{context}: unknown key {key!r}")
-    if model == "verhulst":
-        spec, truth = verhulst_truth()
-    elif model == "lv":
-        spec, truth = lotka_volterra_truth()
-    else:
+    if model not in TRUTHS:
         raise ConfigError(f"{context}: key 'model' must be 'verhulst' or 'lv', got {model!r}")
-    if "truth" in doc:
-        truth = _truth_from_json(doc["truth"], model, context)
+    make_truth, names = TRUTHS[model]
+    # an optional truth object overrides every default of the model's truth
+    values = ({name: _require_key(doc["truth"], name, float, f"{context}: key 'truth'")
+               for name in names} if "truth" in doc else {})
+    spec, truth = make_truth(**values)
     estimators = (_require_key(doc, "estimators", tuple, context)
                   if "estimators" in doc else KNOWN_ESTIMATORS)
     for estimator in estimators:
@@ -545,24 +548,6 @@ def _scenario_from_json(doc: dict, context: str) -> ScenarioConfig:
         )
     except GreyModelError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _truth_from_json(doc: dict, model: str, context: str) -> ParameterSet:
-    context = f"{context}: key 'truth'"
-    if model == "verhulst":
-        a = _require_key(doc, "a", float, context)
-        b = _require_key(doc, "b", float, context)  # reduced-form interaction
-        eta = _require_key(doc, "eta", float, context)
-        return ParameterSet([[a]], [[b / 2.0]], [eta], form=REDUCED_FORM)
-    a1 = _require_key(doc, "a1", float, context)
-    b1 = _require_key(doc, "b1", float, context)
-    a2 = _require_key(doc, "a2", float, context)
-    b2 = _require_key(doc, "b2", float, context)
-    eta1 = _require_key(doc, "eta1", float, context)
-    eta2 = _require_key(doc, "eta2", float, context)
-    theta_L = [[a1, 0.0], [0.0, a2]]
-    theta_N = [[0.0, -b1, 0.0], [0.0, -b2, 0.0]]
-    return ParameterSet(theta_L, theta_N, [eta1, eta2], form=REDUCED_FORM)
 
 
 def _load_scenarios(source: str, replications: Optional[int]) -> List[ScenarioConfig]:

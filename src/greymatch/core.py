@@ -7,6 +7,7 @@ Monte Carlo workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -212,19 +213,24 @@ class PowerUnivariate(NonlinearBasis):
                 f"power basis with gamma={self.gamma} requires a positive argument, got {v}"
             )
 
-    def _states(self, y) -> list:
-        # the (B, 1) batch as Python floats, each checked against the domain
-        states = y.ravel().tolist()
-        for v in states:
+    def _powers(self, y, exponent: float) -> np.ndarray:
+        # v ** exponent of each state of the (B, 1) batch, checked against the
+        # domain first; NaN where Python refuses (overflow, zero to a negative
+        # power), so a trajectory flags the row instead of raising
+        powers = []
+        for v in y.ravel().tolist():
             self._check_domain(v)
-        return states
+            try:
+                powers.append(v ** exponent)
+            except (OverflowError, ZeroDivisionError):
+                powers.append(math.nan)
+        return np.array(powers).reshape(-1, 1)
 
     def evaluate(self, y):
-        return np.array([v ** self.gamma for v in self._states(y)]).reshape(-1, 1)
+        return self._powers(y, self.gamma)
 
     def jacobian(self, y):
-        return np.array([self.gamma * v ** (self.gamma - 1.0)
-                         for v in self._states(y)]).reshape(-1, 1, 1)
+        return (self.gamma * self._powers(y, self.gamma - 1.0))[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -371,9 +377,11 @@ class ModelSpec:
 
         Both estimators regress x(t_k) on it and differ only in the state
         proxy; ``nonlinear`` replaces N(states) when the caller has its own.
+        Monomials that overflow are left as inf or NaN, without a warning.
         """
         if nonlinear is None:
-            nonlinear = evaluate_basis(self.basis, states)
+            with np.errstate(over="ignore", invalid="ignore"):
+                nonlinear = evaluate_basis(self.basis, states)
         return self._columns(states, nonlinear, np.ones((states.shape[0], 1)))
 
     def unpack(self, coef: np.ndarray):

@@ -87,21 +87,18 @@ def build_design_grey(ycum: CusumSeries, ts: TimeSeries, spec: ModelSpec,
 
 
 def least_squares_solve(design: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Minimum-residual solve of design @ coef = targets via orthogonal factorization.
+    """Minimum-norm least-squares solve of design @ coef = targets.
 
-    One factorization yields both the solution and the singular values.
-    Raises SingularDesignError when the smallest singular value falls below
-    ``RANK_TOLERANCE`` times the largest, reporting the condition estimate.
+    The package's one factorization: a single SVD yields both the solution
+    and the condition estimate, the ratio of the extreme singular values
+    (inf for a zero one).  A rank-deficient design is solved, not refused.
+    Raises ConfigError when the design is not finite, that is, overflowed.
     """
-    coef, _, _, s = np.linalg.lstsq(np.asarray(design, dtype=float),
-                                    np.asarray(targets, dtype=float), rcond=None)
-    if s.size == 0 or s[0] == 0.0 or s[-1] / s[0] < RANK_TOLERANCE:
-        condition = float("inf") if s.size == 0 or s[-1] == 0.0 else float(s[0] / s[-1])
-        raise SingularDesignError(
-            f"design matrix is numerically singular (condition ~ {condition:.3g})",
-            condition=condition,
-        )
-    return coef, float(s[0] / s[-1])
+    design = np.asarray(design, dtype=float)
+    if not np.all(np.isfinite(design)):
+        raise ConfigError("the regression design overflows; rescale the series")
+    coef, _, _, s = np.linalg.lstsq(design, np.asarray(targets, dtype=float), rcond=None)
+    return coef, float(s[0] / s[-1]) if s.size and s[-1] > 0.0 else float("inf")
 
 
 def _last_point_bracket(column: np.ndarray) -> Tuple[float, float]:
@@ -285,7 +282,8 @@ def masked_row_solve(design: np.ndarray, targets: np.ndarray,
     outputs.  Otherwise each output is solved on its own, even where two rows
     of ``free`` agree: LAPACK rounds a multi-target solve differently from
     single-target ones.  Returns the (n_columns, d) coefficients, the
-    residuals and the largest condition estimate.
+    residuals and the largest condition estimate; SingularDesignError past
+    ``RANK_TOLERANCE``, where the coefficients are not identifiable.
     """
     d = targets.shape[1]
     coef = np.zeros((design.shape[1], d))
@@ -297,6 +295,11 @@ def masked_row_solve(design: np.ndarray, targets: np.ndarray,
             raise ConfigError(f"output {outputs[0]} has no free coefficients")
         sub = design[:, columns]
         coef_o, cond_o = least_squares_solve(sub, targets[:, outputs])
+        if cond_o > 1.0 / RANK_TOLERANCE:
+            raise SingularDesignError(
+                f"design matrix is numerically singular (condition ~ {cond_o:.3g})",
+                condition=cond_o,
+            )
         coef[np.ix_(columns, outputs)] = coef_o
         residuals[:, outputs] = targets[:, outputs] - sub @ coef_o
         condition = max(condition, cond_o)

@@ -34,7 +34,7 @@ from .core import (
     _readonly,
     power_spec,
 )
-from .grey_twostep import masked_row_solve
+from .grey_twostep import least_squares_solve, masked_row_solve
 from .metrics import mape, rmse, train_test_split
 from .ode import forecast_fits
 from .transform import trapezoid_cumulative
@@ -105,61 +105,45 @@ def polynomial_shift_coefficients(eta: float, p: int) -> Tuple[np.ndarray, np.nd
 def quadratic_shift_matrix(eta: np.ndarray) -> np.ndarray:
     """Linear part of N(eta + v) - N(eta) for the quadratic multivariate basis.
 
-    Satisfies N(eta + v) - N(eta) = psi @ v + N(v) exactly: the row of the
-    monomial y_i y_j carries eta_j at column i and eta_i at column j (summing
-    to 2 eta_i on the diagonal monomials).
+    Satisfies N(eta + v) - N(eta) = psi @ v + N(v) exactly, with psi the
+    Jacobian of N at eta: the row of the monomial y_i y_j carries eta_j at
+    column i and eta_i at column j (summing to 2 eta_i on the diagonal ones).
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    d = eta.size
-    if d < 2:
-        raise ValueError("quadratic basis requires d >= 2")
-    basis = QuadraticMultivariate(d)
-    psi = np.zeros((basis.size, d))
-    for row, (i, j) in enumerate(basis.pairs):
-        psi[row, i] += eta[j]
-        psi[row, j] += eta[i]
-    return psi
+    return QuadraticMultivariate(eta.size).jacobian(eta[None])[0]
+
+
+def _shift_pair(spec: ModelSpec, eta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(psi, varphi) with N(eta + v) - N(eta) = psi @ v + varphi @ N(v) for the
+    spec's basis kind, so that vartheta_L = theta_L + theta_N psi and
+    vartheta_N = theta_N varphi; empty blocks without a basis."""
+    basis = spec.basis
+    if isinstance(basis, PolynomialUnivariate):
+        phi, varphi = polynomial_shift_coefficients(float(eta[0]), spec.p)
+        return phi[:, None], varphi
+    if isinstance(basis, QuadraticMultivariate):
+        return quadratic_shift_matrix(eta), np.eye(basis.size)
+    if basis is None:
+        return np.zeros((0, spec.dimension)), np.eye(0)
+    raise ConfigError("change of basis applies to polynomial and quadratic bases only")
 
 
 def transform_parameters(params: ParameterSet, spec: ModelSpec) -> TransformedParameters:
     """Forward change of basis: reduced-form parameters to regression coefficients."""
     if params.form != REDUCED_FORM:
         raise ValueError("expected reduced-form parameters")
-    basis = spec.basis
-    if isinstance(basis, PolynomialUnivariate):
-        phi, varphi = polynomial_shift_coefficients(float(params.eta[0]), spec.p)
-        vartheta_L = params.theta_L + (params.theta_N @ phi).reshape(1, 1)
-        vartheta_N = params.theta_N @ varphi
-    elif isinstance(basis, QuadraticMultivariate):
-        vartheta_L = params.theta_L + params.theta_N @ quadratic_shift_matrix(params.eta)
-        vartheta_N = params.theta_N
-    elif basis is None:
-        vartheta_L = params.theta_L
-        vartheta_N = params.theta_N
-    else:
-        raise ConfigError("change of basis applies to polynomial and quadratic bases only")
-    return TransformedParameters(vartheta_L, vartheta_N, params.eta)
+    psi, varphi = _shift_pair(spec, params.eta)
+    return TransformedParameters(params.theta_L + params.theta_N @ psi,
+                                 params.theta_N @ varphi, params.eta)
 
 
 def recover_parameters(pi: TransformedParameters, spec: ModelSpec) -> ParameterSet:
     """Invert the change of basis: regression coefficients to reduced-form parameters."""
-    eta = pi.intercept
-    basis = spec.basis
-    if isinstance(basis, PolynomialUnivariate):
-        phi, varphi = polynomial_shift_coefficients(float(eta[0]), spec.p)
-        # theta_N varphi = vartheta_N with varphi lower-triangular, unit diagonal;
-        # the solve is exact for the 1 x 1 varphi of p = 1
-        theta_N = np.linalg.solve(varphi.T, pi.vartheta_N.T).T
-        theta_L = pi.vartheta_L - (theta_N @ phi).reshape(1, 1)
-    elif isinstance(basis, QuadraticMultivariate):
-        theta_N = pi.vartheta_N
-        theta_L = pi.vartheta_L - theta_N @ quadratic_shift_matrix(eta)
-    elif basis is None:
-        theta_N = pi.vartheta_N
-        theta_L = pi.vartheta_L
-    else:
-        raise ConfigError("change of basis applies to polynomial and quadratic bases only")
-    return ParameterSet(theta_L, theta_N, eta, form=REDUCED_FORM)
+    psi, varphi = _shift_pair(spec, pi.intercept)
+    # varphi is unit lower-triangular: the solve is exact for the identity and p = 1
+    theta_N = np.linalg.solve(varphi.T, pi.vartheta_N.T).T
+    return ParameterSet(pi.vartheta_L - theta_N @ psi, theta_N, pi.intercept,
+                        form=REDUCED_FORM)
 
 
 def fit_matching(ts: TimeSeries, spec: ModelSpec) -> FitResult:
@@ -214,10 +198,11 @@ def fit_matching_power(ts: TimeSeries, spec: ModelSpec) -> FitResult:
             f"power basis with gamma={gamma} needs x(t1) + x~ > 0 everywhere"
         )
     layout = _matching_layout(spec)
-    design = layout.design(xtil, shifted ** gamma - x1 ** gamma)
+    with np.errstate(all="ignore"):
+        # numpy's power overflows to inf, which least_squares_solve reports
+        design = layout.design(xtil, shifted ** gamma - np.float64(x1) ** gamma)
     targets = ts.values[1:]
-    coef, _, _, s = np.linalg.lstsq(design, targets, rcond=None)
-    condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
+    coef, condition = least_squares_solve(design, targets)
     theta_L, theta_N, eta = layout.unpack(coef)
     params = ParameterSet(theta_L, theta_N, eta, form=REDUCED_FORM)
     residuals = targets - design @ coef

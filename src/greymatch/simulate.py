@@ -378,20 +378,20 @@ def write_summary_csv(rows: Iterable[SummaryRow], path) -> None:
 # Bundled scenarios
 # ---------------------------------------------------------------------------
 
-def verhulst_truth() -> Tuple[ModelSpec, ParameterSet]:
-    """Scalar logistic truth: growth 1.2, interaction -1 (grey-form -0.5), start 0.4."""
-    spec = verhulst_spec()
-    truth = ParameterSet([[1.2]], [[-0.5]], [0.4], form=REDUCED_FORM)
-    return spec, truth
+def verhulst_truth(a: float = 1.2, b: float = -1.0,
+                   eta: float = 0.4) -> Tuple[ModelSpec, ParameterSet]:
+    """Scalar logistic truth: growth a, interaction b (theta_N = b / 2), start eta."""
+    return verhulst_spec(), ParameterSet([[a]], [[b / 2.0]], [eta], form=REDUCED_FORM)
 
 
-def lotka_volterra_truth() -> Tuple[ModelSpec, ParameterSet]:
-    """Two-species truth a1=1.2, b1=0.3, a2=-1.0, b2=-0.4, start (5, 2/3)."""
-    spec = lotka_volterra_spec()
-    theta_L = [[1.2, 0.0], [0.0, -1.0]]
-    theta_N = [[0.0, -0.3, 0.0], [0.0, 0.4, 0.0]]
-    truth = ParameterSet(theta_L, theta_N, [5.0, 2.0 / 3.0], form=REDUCED_FORM)
-    return spec, truth
+def lotka_volterra_truth(a1: float = 1.2, b1: float = 0.3, a2: float = -1.0,
+                         b2: float = -0.4, eta1: float = 5.0,
+                         eta2: float = 2.0 / 3.0) -> Tuple[ModelSpec, ParameterSet]:
+    """Two-species truth: growths a_i, cross-term coefficients -b_i, start (eta1, eta2)."""
+    theta_L = [[a1, 0.0], [0.0, a2]]
+    theta_N = [[0.0, -b1, 0.0], [0.0, -b2, 0.0]]
+    return lotka_volterra_spec(), ParameterSet(theta_L, theta_N, [eta1, eta2],
+                                               form=REDUCED_FORM)
 
 
 def verhulst_n_sweep(replications: int = 500, seed: int = 20210401) -> List[ScenarioConfig]:

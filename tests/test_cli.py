@@ -200,6 +200,31 @@ class TestFitCommand:
         assert "overflow" in capsys.readouterr().err
         assert json.loads((out / "fit.json").read_text())["error"]["category"] == "ConfigError"
 
+    @pytest.mark.parametrize("scale, args", [
+        (1e200, ["--model", "igvm"]),
+        (1e200, ["--model", "igvm", "--method", "grey"]),
+        (1e150, ["--model", "poly:3"]),
+        (1e200, ["--model", "ingbm", "--gamma", "2"]),
+    ])
+    def test_overflowing_regression_exit_6(self, tmp_path, capsys, scale, args):
+        # the sums of the scaled series stay finite, its squares or cubes do not
+        path = tmp_path / "scaled.csv"
+        write_csv(path, range(1, 16), [v * scale for v in SEWAGE_VALUES])
+        out = tmp_path / "fit"
+        assert main(["fit", str(path), *args, "--out-dir", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert "design overflows" in err and "Traceback" not in err
+        assert json.loads((out / "fit.json").read_text())["error"]["category"] == "ConfigError"
+
+    def test_overflowing_power_in_the_residual_search_is_scored(self, sewage_csv, tmp_path,
+                                                                 capsys):
+        # residual-search candidates whose y ** 3 overflows are flagged rows, not errors
+        out = tmp_path / "fit"
+        assert main(["fit", sewage_csv, "--model", "ingm", "--gamma", "3", "--method", "grey",
+                     "--init-strategy", "residual_correction", "--out-dir", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert "error" not in json.loads((out / "fit.json").read_text())
+
     def test_unix_second_stamps_exit_6(self, tmp_path, capsys):
         # the fit's own trajectory would take about 1e9 substeps per yearly interval
         path = tmp_path / "seconds.csv"

@@ -131,6 +131,20 @@ class TestBases:
             assert list(values[row]) == [v * v, v * v * v, v * v * v * v]
             assert list(jac[row, :, 0]) == [2.0 * v, 3 * (v * v), 4 * (v * v * v)]
 
+    def test_power_python_refuses_is_nan(self):
+        # overflow and zero to a negative power flag the row; other rows keep their bits
+        y = np.array([[1e200], [2.0], [0.0]])
+        values, jac = PowerUnivariate(3.0).evaluate(y), PowerUnivariate(3.0).jacobian(y)
+        assert np.isnan(values[0, 0]) and list(values[1:, 0]) == [8.0, 0.0]
+        assert np.isnan(jac[0, 0, 0]) and list(jac[1:, 0, 0]) == [12.0, 0.0]
+        values = PowerUnivariate(-1.0).evaluate(y)
+        assert np.isnan(values[2, 0]) and list(values[:2, 0]) == [1e-200, 0.5]
+
+    def test_power_domain_checked_before_the_power(self):
+        # the row that would overflow does not hide the row outside the domain
+        with pytest.raises(DomainError):
+            PowerUnivariate(2.5).evaluate(np.array([[1e200], [-1.0]]))
+
     def test_power_batch_raises_for_any_row_out_of_domain(self):
         with pytest.raises(DomainError):
             PowerUnivariate(0.5).evaluate(np.array([[1.0], [-1.0]]))

@@ -108,12 +108,24 @@ class TestLeastSquares:
         normal = np.linalg.solve(design.T @ design, design.T @ targets)
         assert np.allclose(coef, normal, atol=1e-8)
 
-    def test_singular_raises_with_condition(self):
+    def test_singular_is_solved_minimum_norm(self):
+        # the helper refuses nothing; identifiability is its callers' rule
         column = np.arange(1.0, 6.0)
         design = np.column_stack([column, 2.0 * column])
-        with pytest.raises(SingularDesignError) as err:
-            least_squares_solve(design, column[:, None])
-        assert err.value.condition > 1e10
+        coef, cond = least_squares_solve(design, column[:, None])
+        assert np.allclose(coef, [[0.2], [0.4]])
+        assert cond > 1e10
+
+    def test_zero_design_has_infinite_condition(self):
+        coef, cond = least_squares_solve(np.zeros((4, 2)), np.ones((4, 1)))
+        assert np.array_equal(coef, np.zeros((2, 1))) and cond == float("inf")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_design_is_an_overflow(self, bad):
+        design = np.ones((5, 2))
+        design[3, 1] = bad
+        with pytest.raises(ConfigError, match="overflows"):
+            least_squares_solve(design, np.ones((5, 1)))
 
     def test_condition_is_singular_value_ratio(self):
         design = np.random.default_rng(6).normal(size=(25, 4))
@@ -150,6 +162,23 @@ class TestMaskedRowSolve:
             assert np.all(coef[~free[i], i] == 0.0)
             assert np.array_equal(residuals[:, [i]],
                                   targets[:, [i]] - design[:, free[i]] @ alone)
+
+    def test_singular_raises_with_condition(self):
+        column = np.arange(1.0, 6.0)
+        design = np.column_stack([column, 2.0 * column])
+        with pytest.raises(SingularDesignError, match="numerically singular") as err:
+            masked_row_solve(design, column[:, None], np.ones((1, 2), dtype=bool))
+        assert err.value.condition > 1e10
+
+    def test_singular_masked_output_raises(self):
+        # only the second output's free columns are collinear
+        rng = np.random.default_rng(8)
+        column = rng.normal(size=12)
+        design = np.column_stack([rng.normal(size=12), column, 3.0 * column])
+        free = np.array([[True, True, False], [False, True, True]])
+        with pytest.raises(SingularDesignError) as err:
+            masked_row_solve(design, rng.normal(size=(12, 2)), free)
+        assert err.value.condition > 1e10
 
     def test_output_without_free_columns_rejected(self):
         free = np.array([[True, True], [False, False]])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from greymatch import (
     ConfigError,
@@ -162,6 +164,47 @@ class TestRecovery:
             back = recover_parameters(transform_parameters(params, spec), spec)
             assert np.allclose(back.theta_L, params.theta_L, atol=1e-10)
             assert np.allclose(back.theta_N, params.theta_N, atol=1e-10)
+
+
+#: every basis kind of the change-of-basis table: polynomial, quadratic and no basis
+SHIFT_SPECS = ([polynomial_spec(k) for k in range(2, 7)]
+               + [quadratic_spec(d) for d in range(2, 5)]
+               + [ModelSpec(d, None) for d in range(1, 4)])
+
+
+@st.composite
+def reduced_parameters(draw):
+    spec = draw(st.sampled_from(SHIFT_SPECS))
+    d, p = spec.dimension, spec.p
+
+    def block(shape):
+        return draw(arrays(float, shape, elements=st.floats(-2.0, 2.0)))
+
+    return spec, ParameterSet(block((d, d)), block((d, p)), block(d), form=REDUCED_FORM)
+
+
+class TestChangeOfBasisTable:
+    #: absolute round-trip error allowed for parameters in [-2, 2]; the degree-6
+    #: table's entries reach a few hundred, and 1e5 random draws erred by 8e-13
+    ROUND_TRIP_ATOL = 1e-9
+
+    @given(reduced_parameters())
+    def test_round_trip(self, case):
+        spec, params = case
+        pi = transform_parameters(params, spec)
+        back = recover_parameters(pi, spec)
+        assert np.array_equal(pi.intercept, params.eta) and np.array_equal(back.eta, params.eta)
+        for name in ("theta_L", "theta_N"):
+            np.testing.assert_allclose(getattr(back, name), getattr(params, name),
+                                       rtol=0.0, atol=self.ROUND_TRIP_ATOL)
+
+    @pytest.mark.parametrize("spec", [power_spec(1.5), power_spec(2.0, include_constant=True),
+                                      power_family_spec("ingm", 0.63)])
+    def test_power_basis_has_none(self, spec):
+        with pytest.raises(ConfigError):
+            transform_parameters(ParameterSet([[0.1]], [[0.2]], [1.0], form=REDUCED_FORM), spec)
+        with pytest.raises(ConfigError):
+            recover_parameters(TransformedParameters([[0.1]], [[0.2]], [1.0]), spec)
 
 
 class TestFitMatching:

@@ -178,6 +178,16 @@ class TestMonteCarlo:
         assert records[0].status == "singular_design"
         assert records[0].name == "failure"
 
+    @pytest.mark.parametrize("estimator", [METHOD_INTEGRAL_MATCHING, METHOD_GREY_TWOSTEP])
+    def test_overflowing_design_recorded_as_error(self, estimator):
+        from greymatch.simulate import _run_estimator
+        from greymatch import TimeSeries
+        config = small_config(replications=1)
+        clean = generate_clean(config)
+        huge = TimeSeries(clean.times, clean.values * 1e200)
+        (records,) = _run_estimator(estimator, [huge], config, [0])
+        assert [(r.name, r.status) for r in records] == [("failure", "error")]
+
     @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("SVD did not converge"),
                                      ValueError("beta must be finite")])
     def test_numerical_errors_recorded_not_raised(self, monkeypatch, exc):
