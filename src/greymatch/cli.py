@@ -2,9 +2,9 @@
 and reproduction of the bundled yearly benchmarks.
 
 Exit codes: 0 ok, 2 parse error, 3 singular design, 4 trajectory blow-up,
-5 domain error, 6 configuration error.  Every command writes a
-``run_manifest.json`` next to its outputs recording the resolved
-configuration, input digest, and tool version.
+5 domain error, 6 configuration error; each error type names its own.
+Every command writes a ``run_manifest.json`` next to its outputs recording
+the resolved configuration, input digest, and tool version.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -26,18 +27,18 @@ from . import __version__
 from .core import (
     BlowUpError,
     ConfigError,
-    DomainError,
     FitResult,
     GREY_FORM,
     GreyModelError,
     METHOD_GREY_TWOSTEP,
+    METHOD_INTEGRAL_MATCHING,
+    METHOD_INTEGRAL_MATCHING_POWER,
     ModelSpec,
     ParameterSet,
     PolynomialUnivariate,
     PowerUnivariate,
     QuadraticMultivariate,
     REDUCED_FORM,
-    SingularDesignError,
     TimeSeries,
     grey_to_reduced,
     lotka_volterra_spec,
@@ -51,6 +52,7 @@ from .datasets import (
     REPORTED_MAPE,
     reproduce_benchmark,
 )
+from .files import write_csv, write_json
 from .grey_twostep import GreyFitConfig, INITIAL_STRATEGIES, fit_grey
 from .integral_matching import (
     FAMILY_INGBM,
@@ -74,16 +76,19 @@ from .simulate import (
     write_summary_csv,
 )
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_SINGULAR = 3
-EXIT_BLOWUP = 4
-EXIT_DOMAIN = 5
-EXIT_CONFIG = 6
-
 WORKERS_ENV = "GREYMATCH_MC_WORKERS"
 
 FIT_SCHEMA_VERSION = 1
+#: the method tags a fit document may carry
+METHOD_TAGS = (METHOD_GREY_TWOSTEP, METHOD_INTEGRAL_MATCHING, METHOD_INTEGRAL_MATCHING_POWER)
+
+#: the types a key of a JSON input is read as, by the name its error gives them
+KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
+
+#: each basis kind of a fit document: its class, and the field that sizes it with its type
+BASIS_KINDS = {"polynomial": (PolynomialUnivariate, "max_degree", int),
+               "power": (PowerUnivariate, "gamma", float),
+               "quadratic": (QuadraticMultivariate, "d", int)}
 
 #: each scenario model's truth constructor and the keys of its optional truth object
 TRUTHS = {"verhulst": (verhulst_truth, ("a", "b", "eta")),
@@ -92,6 +97,8 @@ TRUTHS = {"verhulst": (verhulst_truth, ("a", "b", "eta")),
 
 class ParseError(GreyModelError):
     """Malformed input file (CSV, JSON)."""
+
+    status, exit_code = "error", 2
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +146,32 @@ def _read_json(path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _require_key(doc: dict, key: str, kind, context: str):
+    """``doc[key]`` read as ``kind``; a ConfigError names the key of a bad value.
+
+    A bool must be a JSON boolean, a float a finite number, and an int an
+    integral one; int() would truncate 2.9, int() and float() read true as 1,
+    and bool() reads "no" as true.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{context} is invalid: expected an object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ConfigError(f"{context}: missing key {key!r}")
+    value = doc[key]
+    boolean = isinstance(value, bool)
+    integral = not boolean and (isinstance(value, int)
+                                or isinstance(value, float) and value.is_integer())
+    if kind is bool and not boolean or kind is float and boolean or kind is int and not integral:
+        raise ConfigError(f"{context}: key {key!r} must be {KIND_NAMES[kind]}, got {value!r}")
+    try:
+        value = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{context}: key {key!r} is invalid: {exc}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{context}: key {key!r} must be finite, got {value!r}")
+    return value
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -163,9 +196,7 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "wall_clock_seconds": round(time.monotonic() - started, 3),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    write_json(out_dir / "run_manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +204,14 @@ def write_manifest(out_dir: Path, command: str, config: dict,
 # ---------------------------------------------------------------------------
 
 def _spec_to_json(spec: ModelSpec) -> dict:
-    basis = spec.basis
-    if basis is None:
-        kind = {"kind": "none"}
-    elif isinstance(basis, PolynomialUnivariate):
-        kind = {"kind": "polynomial", "max_degree": basis.max_degree}
-    elif isinstance(basis, PowerUnivariate):
-        kind = {"kind": "power", "gamma": basis.gamma}
-    elif isinstance(basis, QuadraticMultivariate):
-        kind = {"kind": "quadratic", "d": basis.d}
-    else:
-        raise ConfigError(f"cannot serialize basis {basis!r}")
+    basis = {"kind": "none"}
+    if spec.basis is not None:
+        kind = next(kind for kind, (cls, _, _) in BASIS_KINDS.items() if type(spec.basis) is cls)
+        field = BASIS_KINDS[kind][1]
+        basis = {"kind": kind, field: getattr(spec.basis, field)}
     return {
         "dimension": spec.dimension,
-        "basis": kind,
+        "basis": basis,
         "include_constant": spec.include_constant,
         "include_linear": spec.include_linear,
         "theta_L_mask": None if spec.theta_L_mask is None
@@ -200,16 +225,14 @@ def _spec_from_json(doc: dict) -> ModelSpec:
     kind = doc["basis"]["kind"]
     if kind == "none":
         basis = None
-    elif kind == "polynomial":
-        basis = PolynomialUnivariate(int(doc["basis"]["max_degree"]))
-    elif kind == "power":
-        basis = PowerUnivariate(float(doc["basis"]["gamma"]))
-    elif kind == "quadratic":
-        basis = QuadraticMultivariate(int(doc["basis"]["d"]))
+    elif kind in BASIS_KINDS:
+        cls, field, field_type = BASIS_KINDS[kind]
+        basis = cls(_require_key(doc["basis"], field, field_type, "key 'spec.basis'"))
     else:
         raise ParseError(f"unknown basis kind {kind!r}")
-    return ModelSpec(int(doc["dimension"]), basis,
-                     bool(doc["include_constant"]), bool(doc["include_linear"]),
+    return ModelSpec(_require_key(doc, "dimension", int, "key 'spec'"), basis,
+                     _require_key(doc, "include_constant", bool, "key 'spec'"),
+                     _require_key(doc, "include_linear", bool, "key 'spec'"),
                      doc.get("theta_L_mask"), doc.get("theta_N_mask"))
 
 
@@ -259,8 +282,7 @@ def fit_to_json(fit: FitResult, method: str, split: Optional[int],
     }
     if gamma_search is not None:
         doc["gamma_search"] = gamma_search
-    if fit.method != METHOD_GREY_TWOSTEP and fit.params.form == REDUCED_FORM \
-            and not isinstance(fit.spec.basis, PowerUnivariate):
+    if fit.method == METHOD_INTEGRAL_MATCHING:
         pi = transform_parameters(fit.params, fit.spec)
         doc["transformed"] = {
             "vartheta_L": pi.vartheta_L.tolist(),
@@ -277,6 +299,9 @@ def _fit_from_json(doc: dict):
         raise ValueError("'times' must be a list of at least two increasing numbers")
     if not isinstance(doc["diagnostics"], dict):
         raise TypeError("'diagnostics' must be an object")
+    if doc["method_tag"] not in METHOD_TAGS:
+        raise ValueError(f"key 'method_tag' must be one of {', '.join(METHOD_TAGS)}, "
+                         f"got {doc['method_tag']!r}")
     grey = doc["method_tag"] == METHOD_GREY_TWOSTEP
     block = doc["grey" if grey else "reduced"]
     offset = "beta" if grey else "eta_x"
@@ -289,9 +314,7 @@ def _fit_from_json(doc: dict):
                              f"got {np.shape(block[name])}")
     params = ParameterSet(block["theta_L"], block["theta_N"], block["eta"],
                           form=GREY_FORM if grey else REDUCED_FORM, **{offset: block[offset]})
-    n = times.size
-    return FitResult(spec, params, doc["method_tag"],
-                     np.zeros((max(n - 1, 0), spec.dimension)),
+    return FitResult(spec, params, doc["method_tag"], np.zeros((times.size - 1, d)),
                      float(doc["diagnostics"].get("condition", 0.0)), times)
 
 
@@ -340,11 +363,8 @@ def _parse_gamma_search(text: str):
     return lo, hi, step
 
 
-def cmd_fit(args) -> int:
-    started = time.monotonic()
+def cmd_fit(args, out_dir: Path):
     _validate_fit_flags(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ts = read_timeseries_csv(args.input)
     split = args.split
     if split is not None and not 1 < split < ts.n:
@@ -385,7 +405,11 @@ def cmd_fit(args) -> int:
         if forecast.blown_up:
             raise BlowUpError("fitted trajectory blew up while computing fitted values")
     except GreyModelError as exc:
-        _write_error_fit_json(out_dir, exc)
+        write_json(out_dir / "fit.json", {
+            "schema_version": FIT_SCHEMA_VERSION,
+            "error": {"category": type(exc).__name__, "exit_code": exc.exit_code,
+                      "message": str(exc)},
+        })
         raise
 
     predicted = forecast.fitted_and_forecast
@@ -398,71 +422,34 @@ def cmd_fit(args) -> int:
         "n": ts.n,
         "n_train": report.n_train,
     }
-    doc = fit_to_json(fit, args.method, split, diagnostics, gamma_search_doc)
-    fit_path = out_dir / "fit.json"
-    with open(fit_path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-
-    report_path = out_dir / "report.csv"
-    _write_point_report(report_path, ts, predicted, report.ape_values, split)
-
-    config = {k: getattr(args, k) for k in
-              ("model", "method", "gamma", "gamma_search", "split", "lam", "init_strategy")}
-    write_manifest(out_dir, "fit", config, args.input,
-                   [fit_path.name, report_path.name], started)
+    fit_path, report_path = out_dir / "fit.json", out_dir / "report.csv"
+    write_json(fit_path, fit_to_json(fit, args.method, split, diagnostics, gamma_search_doc))
+    # per sample: t, then actual, fitted and ape of each component, then the segment
+    cells = np.stack([ts.values, predicted, report.ape_values], axis=2).reshape(ts.n, -1)
+    write_csv(report_path,
+              ["t"] + [f"{name}_x{i}" for i in range(1, ts.d + 1)
+                       for name in ("actual", "fitted", "ape")] + ["segment"],
+              ([t, *row, "train" if split is None or k < split else "test"]
+               for k, (t, row) in enumerate(zip(ts.times, cells))))
     print(f"wrote {fit_path} and {report_path}")
     print(f"MAPE_train = {report.mape_train:.4f}%"
           + (f", MAPE_test = {report.mape_test:.4f}%" if report.mape_test is not None else ""))
-    return EXIT_OK
-
-
-def _write_point_report(path, ts: TimeSeries, predicted, ape_values, split) -> None:
-    d = ts.d
-    header = ["t"]
-    for i in range(1, d + 1):
-        header += [f"actual_x{i}", f"fitted_x{i}", f"ape_x{i}"]
-    header.append("segment")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for k in range(ts.n):
-            fields = [repr(float(ts.times[k]))]
-            for i in range(d):
-                fields += [repr(float(ts.values[k, i])),
-                           repr(float(predicted[k, i])),
-                           repr(float(ape_values[k, i]))]
-            fields.append("train" if split is None or k < split else "test")
-            handle.write(",".join(fields) + "\n")
-
-
-def _write_error_fit_json(out_dir: Path, exc: GreyModelError) -> None:
-    doc = {
-        "schema_version": FIT_SCHEMA_VERSION,
-        "error": {
-            "category": type(exc).__name__,
-            "exit_code": _exit_code_for(exc),
-            "message": str(exc),
-        },
-    }
-    with open(out_dir / "fit.json", "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+    config = {k: getattr(args, k) for k in
+              ("model", "method", "gamma", "gamma_search", "split", "lam", "init_strategy")}
+    return config, args.input, [fit_path.name, report_path.name]
 
 
 # ---------------------------------------------------------------------------
 # forecast command
 # ---------------------------------------------------------------------------
 
-def cmd_forecast(args) -> int:
-    started = time.monotonic()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_forecast(args, out_dir: Path):
     doc = _read_json(args.fit)
     if isinstance(doc, dict) and "error" in doc:
         raise ConfigError(f"{args.fit} records a failed fit; nothing to forecast")
     try:
         fit = _fit_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ParseError(f"{args.fit}: malformed fit document: {exc}") from exc
 
     forecast = forecast_fit(fit, args.horizon)
@@ -472,40 +459,15 @@ def cmd_forecast(args) -> int:
         )
 
     path = out_dir / "forecast.csv"
-    d = fit.spec.dimension
-    header = ["t"] + [f"x{i}" for i in range(1, d + 1)] + ["blown_up"]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for k in range(forecast.times.size):
-            fields = [repr(float(forecast.times[k]))]
-            fields += [repr(float(v)) for v in forecast.fitted_and_forecast[k]]
-            fields.append("false")
-            handle.write(",".join(fields) + "\n")
-    write_manifest(out_dir, "forecast", {"fit": args.fit, "horizon": args.horizon},
-                   args.fit, [path.name], started)
+    write_csv(path, ["t"] + [f"x{i}" for i in range(1, fit.spec.dimension + 1)] + ["blown_up"],
+              ([t, *row, "false"] for t, row in zip(forecast.times, forecast.fitted_and_forecast)))
     print(f"wrote {path}")
-    return EXIT_OK
+    return {"fit": args.fit, "horizon": args.horizon}, args.fit, [path.name]
 
 
 # ---------------------------------------------------------------------------
 # mc command
 # ---------------------------------------------------------------------------
-
-def _require_key(doc: dict, key: str, kind, context: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context} is invalid: expected an object, got {type(doc).__name__}")
-    if key not in doc:
-        raise ConfigError(f"{context}: missing key {key!r}")
-    value = doc[key]
-    # int() would truncate 2.9 and accept true; only an integral number is a count
-    if kind is int and (isinstance(value, bool) or not isinstance(value, (int, float))
-                        or not float(value).is_integer()):
-        raise ConfigError(f"{context}: key {key!r} must be an integer, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: key {key!r} is invalid: {exc}") from exc
-
 
 def _scenario_from_json(doc: dict, context: str) -> ScenarioConfig:
     known = {"scenario_id", "model", "T", "h", "n", "noise_level", "replications",
@@ -523,29 +485,18 @@ def _scenario_from_json(doc: dict, context: str) -> ScenarioConfig:
     spec, truth = make_truth(**values)
     estimators = (_require_key(doc, "estimators", tuple, context)
                   if "estimators" in doc else KNOWN_ESTIMATORS)
-    for estimator in estimators:
-        if estimator not in KNOWN_ESTIMATORS:
-            raise ConfigError(f"{context}: key 'estimators' names unknown estimator {estimator!r}")
     grey_initial = doc.get("grey_initial", "first_point")
-    if grey_initial == "first_point":
-        initials = None
-    elif grey_initial == "true":
-        initials = tuple(float(v) for v in truth.eta)
-    else:
+    if grey_initial not in ("first_point", "true"):
         raise ConfigError(f"{context}: key 'grey_initial' must be 'first_point' or 'true'")
+    kinds = {"T": float, "h": float, "n": int, "noise_level": float, "replications": int,
+             "seed": int}
+    numbers = {key: _require_key(doc, key, kind, context) for key, kind in kinds.items()
+               if key != "n" or doc.get("n") is not None}
     try:
-        return ScenarioConfig(
-            scenario_id=str(doc.get("scenario_id", model)),
-            spec=spec, truth=truth,
-            T=_require_key(doc, "T", float, context),
-            h=_require_key(doc, "h", float, context),
-            n=_require_key(doc, "n", int, context) if doc.get("n") is not None else None,
-            noise_level=_require_key(doc, "noise_level", float, context),
-            replications=_require_key(doc, "replications", int, context),
-            seed=_require_key(doc, "seed", int, context),
-            estimators=estimators,
-            grey_initial_values=initials,
-        )
+        return ScenarioConfig(scenario_id=str(doc.get("scenario_id", model)), spec=spec,
+                              truth=truth, estimators=estimators,
+                              grey_initial_values=truth.eta if grey_initial == "true" else None,
+                              **numbers)
     except GreyModelError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -577,10 +528,7 @@ def _worker_count() -> int:
     return workers
 
 
-def cmd_mc(args) -> int:
-    started = time.monotonic()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_mc(args, out_dir: Path):
     scenarios = _load_scenarios(args.scenario, args.replications)
     workers = _worker_count()
     reports = []
@@ -594,13 +542,10 @@ def cmd_mc(args) -> int:
     summary_path = out_dir / "summary.csv"
     write_report_csv(reports, report_path)
     write_summary_csv(summary_rows, summary_path)
-    write_manifest(out_dir, "mc",
-                   {"scenario": args.scenario, "replications": args.replications,
-                    "workers": workers},
-                   args.scenario if args.scenario not in BUNDLED_SCENARIOS else None,
-                   [report_path.name, summary_path.name], started)
     print(f"wrote {report_path} and {summary_path}")
-    return EXIT_OK
+    return ({"scenario": args.scenario, "replications": args.replications, "workers": workers},
+            args.scenario if args.scenario not in BUNDLED_SCENARIOS else None,
+            [report_path.name, summary_path.name])
 
 
 # ---------------------------------------------------------------------------
@@ -610,34 +555,26 @@ def cmd_mc(args) -> int:
 def _write_comparison(path, dataset: str, models) -> None:
     """Write and print each model's MAPEs beside the reported ones."""
     print(f"{dataset}: model    gamma*   MAPE_train (ours/reported)   MAPE_test (ours/reported)")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("model,gamma_star,mape_train,mape_train_reported,delta_train,"
-                     "mape_test,mape_test_reported,delta_test\n")
-        for model, (gamma_star, _, _, report) in models.items():
-            mtrain, mtest = report.mape_train, report.mape_test
-            ref_train, ref_test = REPORTED_MAPE[dataset][model]
-            fields = [model,
-                      "" if gamma_star is None else repr(round(gamma_star, 10)),
-                      repr(mtrain), repr(ref_train), repr(mtrain - ref_train),
-                      repr(mtest), repr(ref_test), repr(mtest - ref_test)]
-            handle.write(",".join(fields) + "\n")
-            gtxt = "   -" if gamma_star is None else f"{gamma_star:4.2f}"
-            print(f"  {model:6s} {gtxt}     {mtrain:5.2f} / {ref_train:5.2f}  "
-                  f"(d={mtrain - ref_train:+.2f})      {mtest:5.2f} / {ref_test:5.2f}  "
-                  f"(d={mtest - ref_test:+.2f})")
+    rows = []
+    for model, (gamma_star, _, _, report) in models.items():
+        mtrain, mtest = report.mape_train, report.mape_test
+        ref_train, ref_test = REPORTED_MAPE[dataset][model]
+        rows.append([model, "" if gamma_star is None else round(gamma_star, 10),
+                     mtrain, ref_train, mtrain - ref_train, mtest, ref_test, mtest - ref_test])
+        gtxt = "   -" if gamma_star is None else f"{gamma_star:4.2f}"
+        print(f"  {model:6s} {gtxt}     {mtrain:5.2f} / {ref_train:5.2f}  "
+              f"(d={mtrain - ref_train:+.2f})      {mtest:5.2f} / {ref_test:5.2f}  "
+              f"(d={mtest - ref_test:+.2f})")
+    write_csv(path, ("model", "gamma_star", "mape_train", "mape_train_reported", "delta_train",
+                     "mape_test", "mape_test_reported", "delta_test"), rows)
 
 
-def cmd_reproduce(args) -> int:
-    started = time.monotonic()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+def cmd_reproduce(args, out_dir: Path):
     if args.table in ("3", "4"):
         dataset = "sewage" if args.table == "3" else "water"
         models, _ = reproduce_benchmark(dataset)
         path = out_dir / f"table{args.table}_comparison.csv"
         _write_comparison(path, dataset, models)
-        outputs.append(path.name)
         _, best, _, _ = models[FAMILY_INGBM]
         reported = REPORTED_INGBM_PARAMETERS[dataset]
         print(f"  ingbm parameters (ours vs reported): "
@@ -647,21 +584,17 @@ def cmd_reproduce(args) -> int:
               f"eta={best.params.eta[0]:.2f}/{reported['eta']}")
     else:
         path = out_dir / "forecast_comparison.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("dataset,step,year,ours,reported,delta\n")
-            for dataset in ("sewage", "water"):
-                _, projection = reproduce_benchmark(dataset)
-                ours = projection.fitted_and_forecast[-3:, 0]
-                reported = REPORTED_FORECASTS[dataset]
-                print(f"{dataset}: 2019-2021 forecast "
-                      f"ours={np.round(ours, 2).tolist()} reported={list(reported)}")
-                for step, (value, ref) in enumerate(zip(ours, reported), start=1):
-                    year = 2018 + step
-                    handle.write(f"{dataset},{step},{year},{float(value)!r},{ref!r},"
-                                 f"{float(value - ref)!r}\n")
-        outputs.append(path.name)
-    write_manifest(out_dir, "reproduce", {"table": args.table}, None, outputs, started)
-    return EXIT_OK
+        rows = []
+        for dataset in ("sewage", "water"):
+            _, projection = reproduce_benchmark(dataset)
+            ours = projection.fitted_and_forecast[-3:, 0]
+            reported = REPORTED_FORECASTS[dataset]
+            print(f"{dataset}: 2019-2021 forecast "
+                  f"ours={np.round(ours, 2).tolist()} reported={list(reported)}")
+            rows += [(dataset, step, 2018 + step, value, ref, value - ref)
+                     for step, (value, ref) in enumerate(zip(ours, reported), start=1)]
+        write_csv(path, ("dataset", "step", "year", "ours", "reported", "delta"), rows)
+    return {"table": args.table}, None, [path.name]
 
 
 # ---------------------------------------------------------------------------
@@ -719,26 +652,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code_for(exc: GreyModelError) -> int:
-    if isinstance(exc, ParseError):
-        return EXIT_PARSE
-    if isinstance(exc, SingularDesignError):
-        return EXIT_SINGULAR
-    if isinstance(exc, BlowUpError):
-        return EXIT_BLOWUP
-    if isinstance(exc, DomainError):
-        return EXIT_DOMAIN
-    return EXIT_CONFIG
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: its outputs and manifest go to ``--out-dir``; returns the exit code."""
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return args.func(args)
+        config, input_path, outputs = args.func(args, out_dir)
+        write_manifest(out_dir, args.command, config, input_path, outputs, started)
     except GreyModelError as exc:
         print(f"greymatch: error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

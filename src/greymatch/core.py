@@ -26,15 +26,25 @@ METHOD_INTEGRAL_MATCHING_POWER = "integral_matching_power"
 # ---------------------------------------------------------------------------
 
 class GreyModelError(Exception):
-    """Base class for all modelling errors raised by this package."""
+    """Base class for all modelling errors raised by this package.
+
+    Each error class names the ``status`` of a Monte Carlo replication that
+    raises it and the ``exit_code`` of a command that ends in it.
+    """
+
+    status, exit_code = "error", 6
 
 
 class DomainError(GreyModelError):
     """A nonlinear basis was evaluated outside its mathematical domain."""
 
+    status, exit_code = "domain_error", 5
+
 
 class SingularDesignError(GreyModelError):
     """The regression design matrix is (numerically) rank deficient."""
+
+    status, exit_code = "singular_design", 3
 
     def __init__(self, message: str, condition: float = float("inf")):
         super().__init__(message)
@@ -44,17 +54,25 @@ class SingularDesignError(GreyModelError):
 class BlowUpError(GreyModelError):
     """A trajectory or closed-form evaluation diverged in finite time."""
 
+    status, exit_code = "blow_up", 4
+
 
 class RootSearchError(GreyModelError):
     """Initial-value root search failed (no sign change within the bracket)."""
+
+    status, exit_code = "initial_value_error", 6
 
 
 class OptimizerError(GreyModelError):
     """Initial-value optimisation did not converge."""
 
+    status, exit_code = "initial_value_error", 6
+
 
 class ConfigError(GreyModelError):
     """Invalid configuration (inconsistent options, too few samples, ...)."""
+
+    status, exit_code = "error", 6
 
 
 def _readonly(a, dtype=float) -> np.ndarray:

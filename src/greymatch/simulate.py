@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +24,6 @@ from .core import (
     METHOD_GREY_TWOSTEP,
     METHOD_INTEGRAL_MATCHING,
     ModelSpec,
-    OptimizerError,
     ParameterSet,
     QuadraticMultivariate,
     REDUCED_FORM,
@@ -34,6 +33,7 @@ from .core import (
     lotka_volterra_spec,
     verhulst_spec,
 )
+from .files import write_csv
 from .grey_twostep import GreyFitConfig, fit_grey
 from .integral_matching import fit_matching
 from .metrics import rmse
@@ -42,11 +42,11 @@ from .ode import forecast_fits, solve_reduced
 KNOWN_ESTIMATORS = (METHOD_GREY_TWOSTEP, METHOD_INTEGRAL_MATCHING)
 
 STATUS_OK = "ok"
-STATUS_BLOW_UP = "blow_up"
-STATUS_SINGULAR = "singular_design"
-STATUS_DOMAIN = "domain_error"
-STATUS_INITIAL = "initial_value_error"
-STATUS_ERROR = "error"
+STATUS_BLOW_UP = BlowUpError.status
+STATUS_SINGULAR = SingularDesignError.status
+STATUS_DOMAIN = DomainError.status
+STATUS_INITIAL = RootSearchError.status
+STATUS_ERROR = GreyModelError.status
 
 #: replications fitted and forecast together; a fixed size, so the cut into
 #: chunks does not depend on the worker count (nor a report on the size)
@@ -91,6 +91,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.truth.form != REDUCED_FORM:
             raise ConfigError("scenario truth must be in reduced form")
+        for name in ("T", "h", "noise_level"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.noise_level < 0.0:
             raise ConfigError("noise_level must be >= 0")
         if self.replications < 1:
@@ -99,6 +102,10 @@ class ScenarioConfig:
             raise ConfigError("T and h must be positive")
         if self.n is not None and self.n < 1:
             raise ConfigError("n must be >= 1")
+        # no array holds more samples than the largest index
+        samples, name = (self.T / self.h, "T / h") if self.n is None else (self.n, "n")
+        if samples >= np.iinfo(np.intp).max:
+            raise ConfigError(f"{name} overflows the sample count")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         # the CSV writers join fields with commas and rows with newlines, unquoted
@@ -233,18 +240,6 @@ def common_parameters(fit: FitResult) -> List[Tuple[str, float]]:
     raise ConfigError("no common parameterization for this model family")
 
 
-def _classify_failure(exc: Exception) -> str:
-    if isinstance(exc, SingularDesignError):
-        return STATUS_SINGULAR
-    if isinstance(exc, BlowUpError):
-        return STATUS_BLOW_UP
-    if isinstance(exc, DomainError):
-        return STATUS_DOMAIN
-    if isinstance(exc, (RootSearchError, OptimizerError)):
-        return STATUS_INITIAL
-    return STATUS_ERROR
-
-
 def _fit(estimator: str, noisy: TimeSeries, config: ScenarioConfig) -> FitResult:
     if estimator == METHOD_GREY_TWOSTEP:
         grey_config = GreyFitConfig(initial_values=config.grey_initial_values)
@@ -266,7 +261,8 @@ def _run_estimator(estimator: str, series: Sequence[TimeSeries], config: Scenari
         except (GreyModelError, np.linalg.LinAlgError, ValueError) as exc:
             # a numerical failure of one replication (a factorization that does
             # not converge, a non-finite estimate) is recorded, never raised
-            records[i] = [record(i, "failure", float("nan"), _classify_failure(exc))]
+            records[i] = [record(i, "failure", float("nan"),
+                                 getattr(exc, "status", STATUS_ERROR))]
     forecasts, left_domain = forecast_fits(list(fits.values()), 0)
     for (i, fit), fitted, left in zip(fits.items(), forecasts, left_domain):
         if left or fitted.blown_up:
@@ -356,22 +352,12 @@ def summarize(report: MonteCarloReport) -> List[SummaryRow]:
 
 def write_report_csv(reports: Iterable[MonteCarloReport], path) -> None:
     """Long-format CSV (scenario_id, estimator, replication, name, value, status)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(REPORT_COLUMNS) + "\n")
-        for report in reports:
-            for r in report.records:
-                handle.write(f"{r.scenario_id},{r.estimator},{r.replication},"
-                             f"{r.name},{r.value!r},{r.status}\n")
+    write_csv(path, REPORT_COLUMNS,
+              (astuple(record) for report in reports for record in report.records))
 
 
 def write_summary_csv(rows: Iterable[SummaryRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(f"{row.scenario_id},{row.estimator},{row.name},"
-                         f"{row.count},{row.failures},{row.min!r},{row.q1!r},"
-                         f"{row.median!r},{row.q3!r},{row.max!r},{row.mean!r},"
-                         f"{row.stddev!r}\n")
+    write_csv(path, SUMMARY_COLUMNS, map(astuple, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -519,13 +519,39 @@ class TestMalformedInput:
         ("mc", dict(SCENARIO, n=30.7), 6, "'n'"),
         ("mc", dict(SCENARIO, replications=True), 6, "'replications'"),
         ("mc", dict(SCENARIO, seed=False), 6, "'seed'"),
+        ("mc", dict(SCENARIO, T=float("nan")), 6, "key 'T' must be finite"),
+        ("mc", dict(SCENARIO, T="nan"), 6, "key 'T' must be finite"),
+        ("mc", dict(SCENARIO, h=float("inf")), 6, "key 'h' must be finite"),
+        ("mc", dict(SCENARIO, noise_level=float("nan")), 6, "key 'noise_level' must be finite"),
+        ("mc", dict(SCENARIO, noise_level="inf"), 6, "key 'noise_level' must be finite"),
+        ("mc", dict(SCENARIO, truth={"a": float("nan"), "b": -1.0, "eta": 0.4}), 6,
+         "key 'a' must be finite"),
+        ("mc", dict(SCENARIO, n=1e308), 6, "n overflows the sample count"),
+        ("mc", dict(SCENARIO, T=1e308), 6, "T / h overflows the sample count"),
+        ("mc", dict(SCENARIO, T=True), 6, "key 'T' must be a number"),
+        ("forecast", dict(FIT_DOC, spec=dict(DEGREE_5_SPEC, basis={"kind": "polynomial",
+                                                                   "max_degree": 3.7}),
+                          reduced=dict(FIT_DOC["reduced"], theta_N=[[-0.5, 0.0]])), 2,
+         "malformed fit document: key 'spec.basis': key 'max_degree'"),
+        ("forecast", dict(FIT_DOC, spec=dict(FIT_DOC["spec"], dimension=1.9)), 2,
+         "malformed fit document: key 'spec': key 'dimension'"),
+        ("forecast", dict(FIT_DOC, spec=dict(FIT_DOC["spec"], include_constant="no")), 2,
+         "malformed fit document: key 'spec': key 'include_constant'"),
+        ("forecast", dict(FIT_DOC, method_tag="integral_matching_v2"), 2,
+         "malformed fit document: key 'method_tag'"),
+        ("forecast", dict(FIT_DOC, spec=dict(FIT_DOC["spec"], basis={"kind": "power",
+                                                                    "gamma": float("nan")})),
+         2, "malformed fit document: key 'spec.basis': key 'gamma'"),
     ], ids=["fit_number", "diagnostics_number", "times_number", "times_strings",
             "reduced_theta_N_empty", "reduced_theta_N_scalar", "reduced_spec_degree_5",
             "grey_theta_N_empty", "grey_theta_N_scalar", "grey_spec_degree_5",
             "scenario_list_of_number", "truth_number", "estimators_number",
             "estimators_empty", "n_string",
             "replications_fraction", "seed_fraction", "n_fraction", "replications_bool",
-            "seed_bool"])
+            "seed_bool", "T_nan", "T_nan_string", "h_inf", "noise_level_nan",
+            "noise_level_inf_string", "truth_nan", "n_overflows", "T_overflows", "T_bool",
+            "max_degree_fraction", "dimension_fraction", "include_constant_string",
+            "method_tag_unknown", "gamma_nan"])
     def test_json_of_the_wrong_shape(self, tmp_path, capsys, command, doc, code, named):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
@@ -600,4 +626,20 @@ class TestForecastFuzz:
             fit_path = Path(tmp) / "fit.json"
             fit_path.write_text(json.dumps(doc))
             code = main(["forecast", str(fit_path), "--horizon", "1", "--out-dir", tmp])
+        assert code in (0, 2, 3, 4, 5, 6)
+
+
+class TestScenarioFuzz:
+    @pytest.mark.parametrize("value", FUZZ_VALUES + (float("nan"), float("inf"), float("-inf")),
+                             ids=repr)
+    @pytest.mark.parametrize("key", sorted(SCENARIO))
+    def test_every_one_key_edit_exits_with_a_code(self, tmp_path, key, value):
+        doc = dict(SCENARIO)
+        if value == DELETE:
+            del doc[key]
+        else:
+            doc[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code = main(["mc", str(path), "--replications", "2", "--out-dir", str(tmp_path / "out")])
         assert code in (0, 2, 3, 4, 5, 6)
