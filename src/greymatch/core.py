@@ -458,11 +458,6 @@ def lotka_volterra_spec() -> ModelSpec:
                      theta_N_mask=theta_N_mask)
 
 
-def linear_spec(include_constant: bool = True) -> ModelSpec:
-    """Scalar linear family dy/dt = a*y + beta (no nonlinear block)."""
-    return ModelSpec(1, None, include_constant)
-
-
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -589,14 +584,21 @@ class FitResult:
 
 @dataclass(frozen=True)
 class Forecast:
-    """Fitted plus forecast values of the original series on an extended grid."""
+    """Fitted plus forecast values of the original series on an extended grid.
+
+    ``blowup_index`` is the first sample index whose value could not be
+    computed (that row and all later ones are NaN), or None when the
+    trajectory ran to the end.
+    """
 
     times: np.ndarray                  # (n + r,)
     fitted_and_forecast: np.ndarray    # (n + r, d)
-    horizon: int
-    blown_up: bool = False
     blowup_index: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "times", _readonly(self.times))
         object.__setattr__(self, "fitted_and_forecast", _readonly(self.fitted_and_forecast))
+
+    @property
+    def blown_up(self) -> bool:
+        return self.blowup_index is not None

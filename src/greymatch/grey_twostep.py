@@ -26,7 +26,7 @@ from .core import (
     TimeSeries,
 )
 from .ode import solve_grey
-from .transform import CusumSeries, cusum
+from .transform import cusum
 
 FIX_FIRST = "fix_first"
 FIX_LAST = "fix_last"
@@ -72,16 +72,15 @@ class GreyFitConfig:
             )
 
 
-def build_design_grey(ycum: CusumSeries, ts: TimeSeries, spec: ModelSpec,
-                      background_coefficient: float = 0.5) -> Tuple[np.ndarray, np.ndarray]:
+def build_design_grey(y: np.ndarray, ts: TimeSeries, spec: ModelSpec,
+                      lam: float = 0.5) -> Tuple[np.ndarray, np.ndarray]:
     """Design and target matrices of the midpoint-discretized cumulative model.
 
-    The state proxy is the background value z(t_k): row k-1 of the design is
+    ``y`` is ``cusum(ts)``.  The state proxy is the background value
+    z(t_k) = lam * y(t_{k-1}) + (1 - lam) * y(t_k): row k-1 of the design is
     ``spec.design`` at z(t_k), and the matching target row is the observation
     x(t_k), for k = 2..n.
     """
-    lam = background_coefficient
-    y = ycum.cum_values
     z = lam * y[:-1] + (1.0 - lam) * y[1:]
     return spec.design(z), ts.values[1:]
 
@@ -207,11 +206,12 @@ def _summed_squares(states: np.ndarray, blowup_index: np.ndarray, y: np.ndarray)
     return values
 
 
-def select_initial(strategy: str, ycum: CusumSeries, spec: ModelSpec,
+def select_initial(strategy: str, times: np.ndarray, y: np.ndarray, spec: ModelSpec,
                    theta_L: np.ndarray, theta_N: np.ndarray,
                    beta: Optional[np.ndarray] = None) -> np.ndarray:
     """Pick the initial value of the cumulative model given structural estimates.
 
+    ``y`` holds the (n, d) cumulative samples on the grid ``times``.
     Strategies: fix the first cumulative sample; match the last cumulative
     sample; or minimize the summed squared trajectory residual.  The searches
     start on the box of ``_last_point_bracket`` per component.  ``fix_last``
@@ -223,7 +223,6 @@ def select_initial(strategy: str, ycum: CusumSeries, spec: ModelSpec,
     every component matches within ``ROOT_XTOL`` relative.  Every pass
     integrates its candidates in one batched ``solve_grey`` call.
     """
-    y = ycum.cum_values
     if strategy == FIX_FIRST:
         return y[0].copy()
     if strategy not in INITIAL_STRATEGIES:
@@ -232,7 +231,7 @@ def select_initial(strategy: str, ycum: CusumSeries, spec: ModelSpec,
     def trajectories(etas):
         batch = [ParameterSet(theta_L, theta_N, row, beta=beta, form=GREY_FORM)
                  for row in etas]
-        return solve_grey(spec, batch, ycum.times)
+        return solve_grey(spec, batch, times)
 
     lo, hi = np.array([_last_point_bracket(column) for column in y.T]).T
     if strategy == FIX_LAST and spec.dimension == 1:
@@ -312,14 +311,14 @@ def fit_grey(ts: TimeSeries, spec: ModelSpec,
     if config is None:
         config = GreyFitConfig()
     spec.check_series(ts)
-    ycum = cusum(ts)
-    design, targets = build_design_grey(ycum, ts, spec, config.background_coefficient)
+    y = cusum(ts)
+    design, targets = build_design_grey(y, ts, spec, config.background_coefficient)
     coef, residuals, condition = masked_row_solve(design, targets, spec.free_mask())
     theta_L, theta_N, beta = spec.unpack(coef)
     if config.initial_values is not None:
         eta = np.atleast_1d(np.asarray(config.initial_values, dtype=float))
     else:
-        eta = select_initial(config.initial_value_strategy, ycum, spec,
+        eta = select_initial(config.initial_value_strategy, ts.times, y, spec,
                              theta_L, theta_N, beta)
     params = ParameterSet(theta_L, theta_N, eta, beta=beta, form=GREY_FORM)
     return FitResult(spec, params, METHOD_GREY_TWOSTEP, residuals, condition, ts.times)

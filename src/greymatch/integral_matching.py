@@ -102,17 +102,6 @@ def polynomial_shift_coefficients(eta: float, p: int) -> Tuple[np.ndarray, np.nd
     return phi, varphi
 
 
-def quadratic_shift_matrix(eta: np.ndarray) -> np.ndarray:
-    """Linear part of N(eta + v) - N(eta) for the quadratic multivariate basis.
-
-    Satisfies N(eta + v) - N(eta) = psi @ v + N(v) exactly, with psi the
-    Jacobian of N at eta: the row of the monomial y_i y_j carries eta_j at
-    column i and eta_i at column j (summing to 2 eta_i on the diagonal ones).
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    return QuadraticMultivariate(eta.size).jacobian(eta[None])[0]
-
-
 def _shift_pair(spec: ModelSpec, eta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(psi, varphi) with N(eta + v) - N(eta) = psi @ v + varphi @ N(v) for the
     spec's basis kind, so that vartheta_L = theta_L + theta_N psi and
@@ -122,7 +111,8 @@ def _shift_pair(spec: ModelSpec, eta: np.ndarray) -> Tuple[np.ndarray, np.ndarra
         phi, varphi = polynomial_shift_coefficients(float(eta[0]), spec.p)
         return phi[:, None], varphi
     if isinstance(basis, QuadraticMultivariate):
-        return quadratic_shift_matrix(eta), np.eye(basis.size)
+        # N(eta + v) - N(eta) = J_N(eta) v + N(v) exactly for quadratic monomials
+        return basis.jacobian(eta[None])[0], np.eye(basis.size)
     if basis is None:
         return np.zeros((0, spec.dimension)), np.eye(0)
     raise ConfigError("change of basis applies to polynomial and quadratic bases only")

@@ -64,25 +64,31 @@ class Trajectory:
     """States recorded at the sample times, with an explicit divergence flag.
 
     ``states`` is (n, m) for one integrated state and (n, B, m) for a batch
-    of B.  When ``blown_up`` is true, ``blowup_index`` is the first sample
-    index whose state could not be computed; that sample and all later ones
-    are NaN.  For a batch, ``blown_up`` means that any row blew up,
-    ``blowup_index`` is the earliest such index, and ``row_blowup_index``
-    holds each row's own index (-1 for rows that ran to the end).
+    of B.  ``row_blowup_index`` holds, for the one state or each of the B
+    rows, the first sample index whose state could not be computed (-1 for
+    a row that ran to the end); that sample and all later ones of the row
+    are NaN.  ``blown_up`` says whether any row blew up, and
+    ``blowup_index`` is the earliest such index (None when none did).
     """
 
     times: np.ndarray
     states: np.ndarray
-    blown_up: bool = False
-    blowup_index: Optional[int] = None
-    row_blowup_index: Optional[np.ndarray] = None
+    row_blowup_index: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "times", _readonly(self.times))
         object.__setattr__(self, "states", _readonly(self.states))
-        if self.row_blowup_index is not None:
-            object.__setattr__(self, "row_blowup_index",
-                               _readonly(self.row_blowup_index, dtype=int))
+        object.__setattr__(self, "row_blowup_index",
+                           _readonly(self.row_blowup_index, dtype=int))
+
+    @property
+    def blown_up(self) -> bool:
+        return bool((self.row_blowup_index >= 0).any())
+
+    @property
+    def blowup_index(self) -> Optional[int]:
+        flagged = self.row_blowup_index[self.row_blowup_index >= 0]
+        return int(flagged.min()) if flagged.size else None
 
 
 def default_substeps(times) -> int:
@@ -110,13 +116,15 @@ def _drop_bad_rows(state: np.ndarray, first_bad: np.ndarray, k: int) -> bool:
     return not bad.all()
 
 
-def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajectory:
+def rk4_integrate(rhs: VectorField, initial, times,
+                  substeps: Optional[int] = None) -> Trajectory:
     """Integrate d(state)/dt = rhs(t, state) with classical RK4.
 
     Each interval between consecutive sample times is split into ``substeps``
-    equal internal steps; only the sample times are recorded.  If any
-    intermediate state is non-finite or exceeds the overflow guard the
-    trajectory is flagged as blown up and the remaining rows stay NaN.
+    equal internal steps, ``default_substeps(times)`` unless given; only the
+    sample times are recorded.  If any intermediate state is non-finite or
+    exceeds the overflow guard the trajectory is flagged as blown up and the
+    remaining rows stay NaN.
 
     ``initial`` is one state (m,) or a batch of B independent states (B, m);
     ``rhs`` is then called on the whole (B, m) batch and its row i must
@@ -124,9 +132,11 @@ def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajec
     is NaN from that sample on while the other rows carry on, so every row
     equals the same row integrated alone.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     times = np.asarray(times, dtype=float)
+    if substeps is None:
+        substeps = default_substeps(times)
+    elif substeps < 1:
+        raise ValueError("substeps must be >= 1")
     state = np.array(initial, dtype=float, ndmin=1)
     if state.ndim > 2:
         raise ValueError("initial must be one state (m,) or a batch of states (B, m)")
@@ -156,10 +166,7 @@ def rk4_integrate(rhs: VectorField, initial, times, substeps: int = 1) -> Trajec
                     break
             out[k] = state
     out.setflags(write=False)    # a fresh array Trajectory can keep without a copy
-    bad = first_bad >= 0
-    return Trajectory(times, out, blown_up=bool(bad.any()),
-                      blowup_index=int(first_bad[bad].min()) if bad.any() else None,
-                      row_blowup_index=first_bad if state.ndim == 2 else None)
+    return Trajectory(times, out, first_bad)
 
 
 def _batch(params) -> List[ParameterSet]:
@@ -254,7 +261,7 @@ def reduced_initial_state(params: ParameterSet) -> np.ndarray:
 
 
 def _one_row(traj: Trajectory) -> Trajectory:
-    return Trajectory(traj.times, traj.states[:, 0], traj.blown_up, traj.blowup_index)
+    return Trajectory(traj.times, traj.states[:, 0], traj.row_blowup_index)
 
 
 def solve_grey(spec: ModelSpec, params, times,
@@ -263,10 +270,8 @@ def solve_grey(spec: ModelSpec, params, times,
 
     ``params`` is one parameter set, giving an (n, d) trajectory (a batch of
     one row), or a sequence of B sets sharing ``spec``, giving an (n, B, d)
-    trajectory with ``row_blowup_index`` whose row i equals set i solved alone.
+    trajectory whose row i equals set i solved alone.
     """
-    if substeps is None:
-        substeps = default_substeps(times)
     batch = _batch(params)
     traj = rk4_integrate(grey_rhs(spec, batch), [p.eta for p in batch], times, substeps)
     return _one_row(traj) if isinstance(params, ParameterSet) else traj
@@ -276,8 +281,6 @@ def solve_reduced(spec: ModelSpec, params: ParameterSet, times,
                   substeps: Optional[int] = None) -> Trajectory:
     """Trajectory of the reduced augmented system (a batch of one row); columns
     0..d-1 hold x, d..2d-1 hold y."""
-    if substeps is None:
-        substeps = default_substeps(times)
     rhs = reduced_augmented_rhs(spec, params)
     return _one_row(rk4_integrate(rhs, [reduced_initial_state(params)], times, substeps))
 
@@ -346,36 +349,31 @@ def power_batch_rhs(fits: Sequence[FitResult]) -> Tuple[VectorField, np.ndarray]
     return rhs, left_domain
 
 
-def _forecast_batch(fits: Sequence[FitResult], grid: np.ndarray,
-                    horizon: int) -> Tuple[List[Optional[Forecast]], List[bool]]:
+def _forecast_batch(fits: Sequence[FitResult],
+                    grid: np.ndarray) -> Tuple[List[Optional[Forecast]], List[bool]]:
     """Forecast fits of one route in one RK4 pass: reduced power-family fits of
     any exponent, or fits that share one spec and one form."""
     spec, params = fits[0].spec, [fit.params for fit in fits]
     grey = params[0].form == GREY_FORM
     if _is_power_reduced(fits[0]):
         rhs, left_domain = power_batch_rhs(fits)
-        initial = [(p.initial_state()[0], p.eta[0]) for p in params]
     else:
         left_domain = np.zeros(len(fits), dtype=bool)  # these fields raise instead
-        if grey:
-            rhs, initial = grey_rhs(spec, params), [p.eta for p in params]
-        else:
-            rhs = reduced_augmented_rhs(spec, params)
-            initial = [reduced_initial_state(p) for p in params]
+        rhs = grey_rhs(spec, params) if grey else reduced_augmented_rhs(spec, params)
+    initial = [p.eta if grey else reduced_initial_state(p) for p in params]
     try:
-        traj = rk4_integrate(rhs, initial, grid, default_substeps(grid))
+        traj = rk4_integrate(rhs, initial, grid)
     except DomainError:
         # a basis raises for the whole batch; each row alone shows which left its domain
         if len(fits) == 1:
             return [None], [True]
-        rows = [_forecast_batch([fit], grid, horizon) for fit in fits]
+        rows = [_forecast_batch([fit], grid) for fit in fits]
         return [f for (f,), _ in rows], [left for _, (left,) in rows]
     forecasts = []
     for i, k in enumerate(traj.row_blowup_index.tolist()):
         states = traj.states[:, i]
         x = difference_cumulative(grid, states) if grey else states[:, :spec.dimension]
-        forecasts.append(Forecast(grid, x, horizon, blown_up=k >= 0,
-                                  blowup_index=k if k >= 0 else None))
+        forecasts.append(Forecast(grid, x, k if k >= 0 else None))
     return forecasts, left_domain.tolist()
 
 
@@ -407,7 +405,7 @@ def forecast_fits(fits: Sequence[FitResult], horizon: int,
     forecasts: List[Optional[Forecast]] = [None] * len(fits)
     left_domain = np.zeros(len(fits), dtype=bool)
     for rows in groups.values():
-        group, left = _forecast_batch([fits[i] for i in rows], grid, horizon)
+        group, left = _forecast_batch([fits[i] for i in rows], grid)
         for i, forecast, flag in zip(rows, group, left):
             forecasts[i], left_domain[i] = forecast, flag
     return forecasts, left_domain

@@ -102,10 +102,12 @@ class ScenarioConfig:
             raise ConfigError("T and h must be positive")
         if self.n is not None and self.n < 1:
             raise ConfigError("n must be >= 1")
-        # no array holds more samples than the largest index
+        # no array holds more samples, nor a run more replications, than the largest index
         samples, name = (self.T / self.h, "T / h") if self.n is None else (self.n, "n")
         if samples >= np.iinfo(np.intp).max:
             raise ConfigError(f"{name} overflows the sample count")
+        if self.replications >= np.iinfo(np.intp).max:
+            raise ConfigError("replications overflows the replication count")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         # the CSV writers join fields with commas and rows with newlines, unquoted
@@ -127,7 +129,10 @@ class ScenarioConfig:
         return int(math.floor(self.T / self.h + 1e-9)) + 1
 
     def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.h
+        try:
+            return np.arange(self.n_samples) * self.h
+        except MemoryError:
+            raise ConfigError(f"{self.n_samples} samples do not fit in memory") from None
 
 
 @dataclass(frozen=True)

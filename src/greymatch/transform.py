@@ -2,27 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import ConfigError, TimeSeries, _readonly
-
-
-@dataclass(frozen=True)
-class CusumSeries:
-    """Weighted running sums y(t_k) of a time series, one column per variable."""
-
-    times: np.ndarray
-    cum_values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(self.times))
-        object.__setattr__(self, "cum_values", _readonly(self.cum_values))
-
-    @property
-    def n(self) -> int:
-        return self.times.size
+from .core import ConfigError, TimeSeries
 
 
 def _cusum_weights(times: np.ndarray) -> np.ndarray:
@@ -39,25 +21,26 @@ def _finite(sums: np.ndarray) -> np.ndarray:
     return sums
 
 
-def cusum(ts: TimeSeries) -> CusumSeries:
-    """y(t_k) = sum_{i<=k} h_i x(t_i), h_1 = 1, h_k = t_k - t_{k-1}; ConfigError on overflow."""
+def cusum(ts: TimeSeries) -> np.ndarray:
+    """Read-only (n, d) running sums y(t_k) = sum_{i<=k} h_i x(t_i), h_1 = 1,
+    h_k = t_k - t_{k-1}, on the grid ``ts.times``; ConfigError on overflow."""
     h = _cusum_weights(ts.times)
     with np.errstate(over="ignore"):
-        return CusumSeries(ts.times, _finite(np.cumsum(h[:, None] * ts.values, axis=0)))
+        sums = _finite(np.cumsum(h[:, None] * ts.values, axis=0))
+    sums.setflags(write=False)
+    return sums
 
 
 def difference_cumulative(times: np.ndarray, cum_values: np.ndarray) -> np.ndarray:
-    """``inverse_cusum`` on plain arrays; NaN rows of a blown-up trajectory pass through."""
+    """Inverse of ``cusum``: x(t1) = y(t1), x(t_k) = (y(t_k) - y(t_{k-1})) / h_k.
+
+    NaN rows of a blown-up trajectory pass through.
+    """
     x = np.empty_like(cum_values)
     x[0] = cum_values[0]
     if times.size > 1:
         x[1:] = np.diff(cum_values, axis=0) / np.diff(times)[:, None]
     return x
-
-
-def inverse_cusum(ycum: CusumSeries) -> TimeSeries:
-    """Recover the original series: x(t1) = y(t1), x(t_k) = (y(t_k) - y(t_{k-1})) / h_k."""
-    return TimeSeries(ycum.times, difference_cumulative(ycum.times, ycum.cum_values))
 
 
 def trapezoid_cumulative(ts: TimeSeries) -> np.ndarray:

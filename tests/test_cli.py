@@ -528,6 +528,7 @@ class TestMalformedInput:
          "key 'a' must be finite"),
         ("mc", dict(SCENARIO, n=1e308), 6, "n overflows the sample count"),
         ("mc", dict(SCENARIO, T=1e308), 6, "T / h overflows the sample count"),
+        ("mc", dict(SCENARIO, T=1e12, h=0.001), 6, "samples do not fit in memory"),
         ("mc", dict(SCENARIO, T=True), 6, "key 'T' must be a number"),
         ("forecast", dict(FIT_DOC, spec=dict(DEGREE_5_SPEC, basis={"kind": "polynomial",
                                                                    "max_degree": 3.7}),
@@ -549,7 +550,8 @@ class TestMalformedInput:
             "estimators_empty", "n_string",
             "replications_fraction", "seed_fraction", "n_fraction", "replications_bool",
             "seed_bool", "T_nan", "T_nan_string", "h_inf", "noise_level_nan",
-            "noise_level_inf_string", "truth_nan", "n_overflows", "T_overflows", "T_bool",
+            "noise_level_inf_string", "truth_nan", "n_overflows", "T_overflows",
+            "samples_beyond_memory", "T_bool",
             "max_degree_fraction", "dimension_fraction", "include_constant_string",
             "method_tag_unknown", "gamma_nan"])
     def test_json_of_the_wrong_shape(self, tmp_path, capsys, command, doc, code, named):

@@ -35,7 +35,6 @@ from greymatch import grey_twostep
 from greymatch.datasets import sewage_discharge, water_use
 from greymatch.integral_matching import power_family_spec
 from greymatch.grey_twostep import _last_point_bracket, masked_row_solve
-from greymatch.transform import CusumSeries
 
 A, B_GREY, ETA = 1.2, -0.5, 0.4
 
@@ -60,7 +59,7 @@ class TestDesign:
         design, _ = build_design_grey(cusum(ts), ts, spec, 0.5)
         assert design.shape == (3, 2)
         assert np.allclose(design[:, 1], 1.0)
-        y = cusum(ts).cum_values[:, 0]
+        y = cusum(ts)[:, 0]
         assert np.allclose(design[:, 0], 0.5 * (y[:-1] + y[1:]))
 
     def test_targets_are_later_observations(self):
@@ -73,7 +72,7 @@ class TestDesign:
         rng = np.random.default_rng(1)
         ts = TimeSeries(np.arange(10.0), rng.uniform(0.5, 1.5, size=10))
         design, _ = build_design_grey(cusum(ts), ts, verhulst_spec(), 0.5)
-        y = cusum(ts).cum_values[:, 0]
+        y = cusum(ts)[:, 0]
         rows = [[(y[k - 1] + y[k]) / 2.0, ((y[k - 1] + y[k]) / 2.0) ** 2]
                 for k in range(1, 10)]
         assert np.allclose(design, rows)
@@ -82,7 +81,7 @@ class TestDesign:
         ts = TimeSeries([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         design, _ = build_design_grey(cusum(ts), ts, verhulst_spec(), 0.0)
         # lam = 0 keeps the right endpoint y(t_k)
-        y = cusum(ts).cum_values[:, 0]
+        y = cusum(ts)[:, 0]
         assert np.allclose(design[:, 0], y[1:])
 
 
@@ -189,10 +188,10 @@ class TestMaskedRowSolve:
 class TestSelectInitial:
     def test_fix_first(self):
         ts = TimeSeries(np.arange(5.0), [1.0, 2.0, 3.0, 4.0, 5.0])
-        ycum = cusum(ts)
-        eta = select_initial(FIX_FIRST, ycum, verhulst_spec(),
+        y = cusum(ts)
+        eta = select_initial(FIX_FIRST, ts.times, y, verhulst_spec(),
                              np.array([[1.0]]), np.array([[0.0]]))
-        assert np.allclose(eta, ycum.cum_values[0])
+        assert np.allclose(eta, y[0])
 
     def test_fix_last_linear_closed_form(self):
         # dy/dt = a y has y(t_n) = eta exp(a (t_n - t_1))
@@ -200,9 +199,7 @@ class TestSelectInitial:
         spec = ModelSpec(1, None)
         times = np.arange(0.0, 3.0 + 1e-9, 0.5)
         y = 0.8 * np.exp(a * times)
-        from greymatch.transform import CusumSeries
-        ycum = CusumSeries(times, y[:, None])
-        eta = select_initial(FIX_LAST, ycum, spec, np.array([[a]]),
+        eta = select_initial(FIX_LAST, times, y[:, None], spec, np.array([[a]]),
                              np.zeros((1, 0)))
         expected = y[-1] * np.exp(-a * (times[-1] - times[0]))
         assert abs(eta[0] - expected) < 1e-8
@@ -211,13 +208,11 @@ class TestSelectInitial:
         # exact cumulative data plus exact structural values: every strategy
         # must find the same initial value
         from greymatch import verhulst_closed_form_y
-        from greymatch.transform import CusumSeries
 
         times = np.arange(0.0, 4.0 + 1e-9, 0.05)
         y = verhulst_closed_form_y(1.2, -0.5, 0.4, times)
-        ycum = CusumSeries(times, y[:, None])
         spec = verhulst_spec()
-        values = [select_initial(strategy, ycum, spec,
+        values = [select_initial(strategy, times, y[:, None], spec,
                                  np.array([[1.2]]), np.array([[-0.5]]))[0]
                   for strategy in (FIX_FIRST, FIX_LAST, RESIDUAL_CORRECTION)]
         assert max(values) - min(values) < 1e-6
@@ -225,30 +220,30 @@ class TestSelectInitial:
 
 
 def yearly_structure(dataset, spec=None):
-    """Cumulative series, spec and structural estimates of a yearly grey fit (IGVM by default)."""
+    """Grid, cumulative series, spec and structural estimates of a yearly grey fit
+    (IGVM by default)."""
     spec = verhulst_spec() if spec is None else spec
     ts = dataset()
     fit = fit_grey(ts, spec)
-    return cusum(ts), spec, fit.params.theta_L, fit.params.theta_N
+    return ts.times, cusum(ts), spec, fit.params.theta_L, fit.params.theta_N
 
 
-def one_row(ycum, spec, theta_L, theta_N, eta):
-    return solve_grey(spec, ParameterSet(theta_L, theta_N, eta), ycum.times)
+def one_row(times, spec, theta_L, theta_N, eta):
+    return solve_grey(spec, ParameterSet(theta_L, theta_N, eta), times)
 
 
-def summed_squares(ycum, spec, theta_L, theta_N, eta):
-    traj = one_row(ycum, spec, theta_L, theta_N, eta)
-    return 1e300 if traj.blown_up else float(np.sum((traj.states - ycum.cum_values) ** 2))
+def summed_squares(times, y, spec, theta_L, theta_N, eta):
+    traj = one_row(times, spec, theta_L, theta_N, eta)
+    return 1e300 if traj.blown_up else float(np.sum((traj.states - y) ** 2))
 
 
-def serial_fix_last(ycum, spec, theta_L, theta_N):
+def serial_fix_last(times, y, spec, theta_L, theta_N):
     """brentq per component and coordinate sweeps, one one-row solve per evaluation."""
-    y = ycum.cum_values
     eta = y[0].astype(float).copy()
 
     def mismatch(value, i):
         eta[i] = value
-        traj = one_row(ycum, spec, theta_L, theta_N, eta)
+        traj = one_row(times, spec, theta_L, theta_N, eta)
         if traj.blown_up:
             last = max(traj.blowup_index - 1, 0)
             return 1e30 if traj.states[last, i] - y[-1, i] >= 0.0 else -1e30
@@ -264,10 +259,10 @@ def serial_fix_last(ycum, spec, theta_L, theta_N):
     return eta
 
 
-def serial_residual_correction(ycum, spec, theta_L, theta_N):
+def serial_residual_correction(times, y, spec, theta_L, theta_N):
     """Nelder-Mead on the summed squared residual, seeded at the first sample."""
     result = optimize.minimize(
-        lambda eta: summed_squares(ycum, spec, theta_L, theta_N, eta), ycum.cum_values[0],
+        lambda eta: summed_squares(times, y, spec, theta_L, theta_N, eta), y[0],
         method="Nelder-Mead", options={"maxiter": 500, "fatol": 1e-10, "xatol": 1e-8},
     )
     assert result.success
@@ -288,7 +283,7 @@ def count_solves(monkeypatch):
 
 
 def two_species_structure(T, noise):
-    """Cumulative series, spec and structural estimates of a two-species grey fit
+    """Grid, cumulative series, spec and structural estimates of a two-species grey fit
     on a weakly coupled LV truth sampled at h = 0.1, with multiplicative noise."""
     spec = lotka_volterra_spec()
     truth = ParameterSet([[0.3, 0.0], [0.0, -0.2]], [[0.0, -0.1, 0.0], [0.0, 0.1, 0.0]],
@@ -298,7 +293,7 @@ def two_species_structure(T, noise):
     states = states * (1.0 + noise * np.random.default_rng(3).standard_normal(states.shape))
     ts = TimeSeries(times, states)
     fit = fit_grey(ts, spec)
-    return cusum(ts), spec, fit.params.theta_L, fit.params.theta_N
+    return ts.times, cusum(ts), spec, fit.params.theta_L, fit.params.theta_N
 
 
 #: candidates per pass of a two-component joint search: (K + 1) ** 2
@@ -311,111 +306,112 @@ YEARLY = pytest.mark.parametrize("dataset", [sewage_discharge, water_use],
 class TestBatchedSearch:
     @YEARLY
     def test_fix_last_matches_brentq(self, monkeypatch, dataset):
-        ycum, spec, theta_L, theta_N = yearly_structure(dataset)
-        reference = serial_fix_last(ycum, spec, theta_L, theta_N)
+        times, y, spec, theta_L, theta_N = yearly_structure(dataset)
+        reference = serial_fix_last(times, y, spec, theta_L, theta_N)
         sizes = count_solves(monkeypatch)
-        eta = select_initial(FIX_LAST, ycum, spec, theta_L, theta_N)
+        eta = select_initial(FIX_LAST, times, y, spec, theta_L, theta_N)
         assert 1 <= len(sizes) <= 12
         assert set(sizes) == {grey_twostep.SECTIONS + 1}
         assert abs(eta[0] - reference[0]) <= 1e-12 * abs(reference[0])
 
     @YEARLY
     def test_residual_correction_matches_nelder_mead(self, monkeypatch, dataset):
-        ycum, spec, theta_L, theta_N = yearly_structure(dataset)
-        reference = serial_residual_correction(ycum, spec, theta_L, theta_N)
+        times, y, spec, theta_L, theta_N = yearly_structure(dataset)
+        reference = serial_residual_correction(times, y, spec, theta_L, theta_N)
         sizes = count_solves(monkeypatch)
-        eta = select_initial(RESIDUAL_CORRECTION, ycum, spec, theta_L, theta_N)
+        eta = select_initial(RESIDUAL_CORRECTION, times, y, spec, theta_L, theta_N)
         assert 1 <= len(sizes) <= 12
         assert abs(eta[0] - reference[0]) <= 1e-7 * abs(reference[0])
-        assert (summed_squares(ycum, spec, theta_L, theta_N, eta)
-                <= summed_squares(ycum, spec, theta_L, theta_N, reference))
+        assert (summed_squares(times, y, spec, theta_L, theta_N, eta)
+                <= summed_squares(times, y, spec, theta_L, theta_N, reference))
 
     def test_fractional_power_residual_correction_matches_nelder_mead(self):
         # the bracket of the sewage cumulative series reaches below zero, outside
         # the domain of y^0.63: the residual search keeps to y > 0
-        ycum, spec, theta_L, theta_N = yearly_structure(sewage_discharge,
-                                                        power_family_spec("ingbm", 0.63))
-        assert _last_point_bracket(ycum.cum_values[:, 0])[0] < 0.0
-        reference = serial_residual_correction(ycum, spec, theta_L, theta_N)
-        eta = select_initial(RESIDUAL_CORRECTION, ycum, spec, theta_L, theta_N)
+        times, y, spec, theta_L, theta_N = yearly_structure(sewage_discharge,
+                                                               power_family_spec("ingbm", 0.63))
+        assert _last_point_bracket(y[:, 0])[0] < 0.0
+        reference = serial_residual_correction(times, y, spec, theta_L, theta_N)
+        eta = select_initial(RESIDUAL_CORRECTION, times, y, spec, theta_L, theta_N)
         assert abs(eta[0] - reference[0]) <= 1e-7 * abs(reference[0])
-        assert (summed_squares(ycum, spec, theta_L, theta_N, eta)
-                <= summed_squares(ycum, spec, theta_L, theta_N, reference))
+        assert (summed_squares(times, y, spec, theta_L, theta_N, eta)
+                <= summed_squares(times, y, spec, theta_L, theta_N, reference))
 
     def test_two_species_fix_last_matches_serial_sweep(self, monkeypatch):
-        ycum, spec, theta_L, theta_N = two_species_structure(0.6, 0.0)
-        reference = serial_fix_last(ycum, spec, theta_L, theta_N)
+        times, y, spec, theta_L, theta_N = two_species_structure(0.6, 0.0)
+        reference = serial_fix_last(times, y, spec, theta_L, theta_N)
         sizes = count_solves(monkeypatch)
-        eta = select_initial(FIX_LAST, ycum, spec, theta_L, theta_N)
+        eta = select_initial(FIX_LAST, times, y, spec, theta_L, theta_N)
         assert set(sizes) == {JOINT_PASS}
         assert np.all(np.abs(eta - reference) <= 1e-12 * np.abs(reference))
 
     @pytest.mark.parametrize("T, noise", [(0.6, 0.0), (1.0, 0.04)], ids=["clean", "noisy"])
     def test_two_species_residual_correction_matches_nelder_mead(self, monkeypatch, T, noise):
-        ycum, spec, theta_L, theta_N = two_species_structure(T, noise)
-        reference = serial_residual_correction(ycum, spec, theta_L, theta_N)
+        times, y, spec, theta_L, theta_N = two_species_structure(T, noise)
+        reference = serial_residual_correction(times, y, spec, theta_L, theta_N)
         sizes = count_solves(monkeypatch)
-        eta = select_initial(RESIDUAL_CORRECTION, ycum, spec, theta_L, theta_N)
+        eta = select_initial(RESIDUAL_CORRECTION, times, y, spec, theta_L, theta_N)
         assert sizes and set(sizes) == {JOINT_PASS}
         assert np.all(np.abs(eta - reference) <= 1e-7 * np.abs(reference))
-        assert (summed_squares(ycum, spec, theta_L, theta_N, eta)
-                <= summed_squares(ycum, spec, theta_L, theta_N, reference))
+        assert (summed_squares(times, y, spec, theta_L, theta_N, eta)
+                <= summed_squares(times, y, spec, theta_L, theta_N, reference))
 
     @pytest.mark.parametrize("T", [2.0, 3.0])
     def test_two_species_fix_last_matches_the_last_sample(self, T):
         # no component alone changes sign over its bracket on these fits, so a
         # search one component at a time finds no root; the joint search does
-        ycum, spec, theta_L, theta_N = two_species_structure(T, 0.0)
-        eta = select_initial(FIX_LAST, ycum, spec, theta_L, theta_N)
-        last, y = one_row(ycum, spec, theta_L, theta_N, eta).states[-1], ycum.cum_values[-1]
-        assert np.all(np.abs(last - y) <= 1e-12 * np.abs(y))
+        times, y, spec, theta_L, theta_N = two_species_structure(T, 0.0)
+        eta = select_initial(FIX_LAST, times, y, spec, theta_L, theta_N)
+        last = one_row(times, spec, theta_L, theta_N, eta).states[-1]
+        assert np.all(np.abs(last - y[-1]) <= 1e-12 * np.abs(y[-1]))
 
     def test_two_species_without_a_root_is_a_root_search_error(self, monkeypatch):
-        ycum, spec, theta_L, theta_N = two_species_structure(0.6, 0.0)
-        y = ycum.cum_values.copy()
+        times, y, spec, theta_L, theta_N = two_species_structure(0.6, 0.0)
+        y = y.copy()
         y[-1, 1] *= 50
         sizes = count_solves(monkeypatch)
         with pytest.raises(RootSearchError, match="no last-point root"):
-            select_initial(FIX_LAST, CusumSeries(ycum.times, y), spec, theta_L, theta_N)
+            select_initial(FIX_LAST, times, y, spec, theta_L, theta_N)
         assert len(sizes) <= 3 * grey_twostep.MAX_WIDENINGS
 
     def test_no_sign_change_is_a_root_search_error(self):
         # dy/dt = 5 y overshoots the last sample from every eta in [0.5, 2.5]
         times = np.linspace(0.0, 1.0, 5)
-        ycum = CusumSeries(times, np.linspace(1.0, 2.0, 5)[:, None])
+        y = np.linspace(1.0, 2.0, 5)[:, None]
         with pytest.raises(RootSearchError):
-            select_initial(FIX_LAST, ycum, ModelSpec(1, None), np.array([[5.0]]),
+            select_initial(FIX_LAST, times, y, ModelSpec(1, None), np.array([[5.0]]),
                            np.zeros((1, 0)))
 
     def test_power_bracket_end_is_a_domain_error(self):
         # the bracket of the sewage cumulative series reaches below zero
-        ycum = cusum(sewage_discharge())
-        assert _last_point_bracket(ycum.cum_values[:, 0])[0] < 0.0
+        ts = sewage_discharge()
+        y = cusum(ts)
+        assert _last_point_bracket(y[:, 0])[0] < 0.0
         with pytest.raises(DomainError):
-            select_initial(FIX_LAST, ycum, power_spec(0.63), np.array([[0.2]]),
+            select_initial(FIX_LAST, ts.times, y, power_spec(0.63), np.array([[0.2]]),
                            np.array([[0.1]]))
 
     def test_residual_minimum_beyond_bracket_end_is_found(self, monkeypatch):
         # dy/dt = 3 y: the best eta lies far below the bracket [0.8, 1.6]
         times = np.linspace(0.0, 1.0, 5)
-        ycum = CusumSeries(times, np.linspace(1.0, 1.4, 5)[:, None])
+        y = np.linspace(1.0, 1.4, 5)[:, None]
         spec, theta_L, theta_N = ModelSpec(1, None), np.array([[3.0]]), np.zeros((1, 0))
-        reference = serial_residual_correction(ycum, spec, theta_L, theta_N)
+        reference = serial_residual_correction(times, y, spec, theta_L, theta_N)
         sizes = count_solves(monkeypatch)
-        eta = select_initial(RESIDUAL_CORRECTION, ycum, spec, theta_L, theta_N)
+        eta = select_initial(RESIDUAL_CORRECTION, times, y, spec, theta_L, theta_N)
         assert len(sizes) <= 12
         assert eta[0] < 0.8
         assert abs(eta[0] - reference[0]) <= 1e-7 * abs(reference[0])
-        assert (summed_squares(ycum, spec, theta_L, theta_N, eta)
-                <= summed_squares(ycum, spec, theta_L, theta_N, reference))
+        assert (summed_squares(times, y, spec, theta_L, theta_N, eta)
+                <= summed_squares(times, y, spec, theta_L, theta_N, reference))
 
     def test_residual_minimum_on_domain_edge_is_an_optimizer_error(self):
         # dy/dt = 10 y^0.5 overshoots the samples from every eta > 0, the
         # least from the smallest: the minimum sits on the domain edge y = 0
         times = np.linspace(0.0, 1.0, 5)
-        ycum = CusumSeries(times, np.linspace(0.1, 0.2, 5)[:, None])
+        y = np.linspace(0.1, 0.2, 5)[:, None]
         with pytest.raises(OptimizerError, match="bracket end"):
-            select_initial(RESIDUAL_CORRECTION, ycum, power_spec(0.5, include_linear=False),
+            select_initial(RESIDUAL_CORRECTION, times, y, power_spec(0.5, include_linear=False),
                            np.zeros((1, 1)), np.array([[10.0]]))
 
     def test_minimum_past_every_widening_is_an_optimizer_error(self):
@@ -504,7 +500,6 @@ class TestForecastGrey:
         fit = fit_grey(ts, verhulst_spec())
         forecast = forecast_fit(fit, 0)
         assert forecast.times.size == ts.n
-        assert forecast.horizon == 0
         assert not forecast.blown_up
         # fix-first makes the first fitted value the first observation
         assert np.allclose(forecast.fitted_and_forecast[0], ts.values[0])

@@ -72,6 +72,25 @@ class TestRK4:
             with pytest.raises(ConfigError, match="rescale the time axis"):
                 default_substeps([0.0, spacing])
 
+    def test_omitted_substeps_take_the_default_policy(self):
+        # unit spacing: the policy takes 32 substeps per interval, not 1
+        times = np.arange(5.0)
+        field = lambda t, y: 1.2 * y - 0.5 * y * y
+        traj = rk4_integrate(field, [0.4], times)
+        policy = rk4_integrate(field, [0.4], times, default_substeps(times))
+        assert default_substeps(times) == 32
+        assert np.array_equal(traj.states, policy.states)
+        assert not np.array_equal(traj.states, rk4_integrate(field, [0.4], times, 1).states)
+
+    def test_one_state_has_one_row_index(self):
+        times = np.linspace(0.0, 2.0, 21)
+        for field, index in ((lambda t, y: y ** 2, 11), (lambda t, y: -y, -1)):
+            traj = rk4_integrate(field, [1.0], times, 50)
+            assert traj.row_blowup_index.shape == (1,)
+            assert traj.row_blowup_index[0] == index
+            assert traj.blown_up == (index >= 0)
+            assert traj.blowup_index == (index if index >= 0 else None)
+
     def test_verhulst_vs_closed_form(self):
         times = np.linspace(0.0, 4.0, 401)
         spec = verhulst_spec()
@@ -346,15 +365,14 @@ class TestEquivalence:
         assert np.max(np.abs(y_grey - y_reduced)) <= 1e-6
 
     def test_inverse_cusum_of_grey_matches_reduced_state(self):
-        from greymatch import cusum, inverse_cusum
-        from greymatch.transform import CusumSeries
+        from greymatch import difference_cumulative
 
         spec = verhulst_spec()
         grey = ParameterSet([[A]], [[B]], [ETA], form=GREY_FORM)
         h = 0.01
         times = np.arange(0.0, 4.0 + 1e-12, h)
         y = solve_grey(spec, grey, times, substeps=5).states
-        x_from_grey = inverse_cusum(CusumSeries(times, y)).values[:, 0]
+        x_from_grey = difference_cumulative(times, y)[:, 0]
         x_reduced = solve_reduced(spec, verhulst_reduced_truth(), times,
                                   substeps=5).states[:, 0]
         # backward differencing is first-order accurate

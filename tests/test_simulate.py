@@ -44,6 +44,14 @@ class TestScenarioConfig:
         assert config.n_samples == 501
         assert np.isclose(config.times()[-1], 5.0)
 
+    def test_counts_past_the_largest_index_or_memory(self):
+        for replications in (10 ** 308, int(np.iinfo(np.intp).max)):
+            with pytest.raises(ConfigError, match="replications overflows"):
+                small_config(replications=replications)
+        # 1e15 samples: numpy refuses the 7 PiB allocation at once
+        with pytest.raises(ConfigError, match="samples do not fit in memory"):
+            small_config(T=1e12, h=0.001).times()
+
     def test_validation(self):
         spec, truth = verhulst_truth()
         with pytest.raises(ConfigError):

@@ -1,37 +1,42 @@
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from greymatch import TimeSeries, cusum, inverse_cusum, trapezoid_cumulative
-from greymatch.transform import difference_cumulative
+from greymatch import TimeSeries, cusum, difference_cumulative, trapezoid_cumulative
 
 
 def test_cusum_unit_spacing_running_sum():
     ts = TimeSeries([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    assert np.allclose(cusum(ts).cum_values[:, 0], [1.0, 3.0, 6.0])
+    assert np.allclose(cusum(ts)[:, 0], [1.0, 3.0, 6.0])
 
 
 def test_cusum_single_impulse():
     ts = TimeSeries(np.arange(5.0), [4.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.allclose(cusum(ts).cum_values[:, 0], [4.0] * 5)
+    assert np.allclose(cusum(ts)[:, 0], [4.0] * 5)
 
 
 def test_cusum_first_weight_is_one_on_any_grid():
     # spacings 0.5 but the first weight stays 1 by convention
     ts = TimeSeries([0.0, 0.5, 1.0], [2.0, 2.0, 2.0])
-    assert np.allclose(cusum(ts).cum_values[:, 0], [2.0, 3.0, 4.0])
+    assert np.allclose(cusum(ts)[:, 0], [2.0, 3.0, 4.0])
 
 
 def test_inverse_cusum_direct():
     ts = TimeSeries([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    back = inverse_cusum(cusum(ts))
-    assert np.allclose(back.values, ts.values)
+    back = difference_cumulative(ts.times, cusum(ts))
+    assert np.allclose(back, ts.values)
 
 
 def test_inverse_cusum_constant_cumulative():
-    from greymatch.transform import CusumSeries
-    ycum = CusumSeries(np.arange(4.0), np.full((4, 1), 2.5))
-    x = inverse_cusum(ycum).values[:, 0]
+    x = difference_cumulative(np.arange(4.0), np.full((4, 1), 2.5))[:, 0]
     assert np.allclose(x, [2.5, 0.0, 0.0, 0.0])
+
+
+def test_cusum_is_a_read_only_array():
+    y = cusum(TimeSeries([1.0, 2.0, 3.0], [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]))
+    assert type(y) is np.ndarray and y.shape == (3, 2)
+    with pytest.raises(ValueError):
+        y[0, 0] = 0.0
 
 
 def test_difference_cumulative_passes_nan_rows():
@@ -49,9 +54,8 @@ def test_round_trip_random_nonuniform():
         times = np.cumsum(rng.uniform(0.05, 1.5, size=n)) + rng.uniform(-3, 3)
         values = rng.normal(size=(n, d))
         ts = TimeSeries(times, values)
-        back = inverse_cusum(cusum(ts))
-        assert np.allclose(back.values, ts.values, rtol=1e-12, atol=1e-12)
-        assert np.allclose(back.times, ts.times)
+        back = difference_cumulative(ts.times, cusum(ts))
+        assert np.allclose(back, ts.values, rtol=1e-12, atol=1e-12)
 
 
 @given(st.data())
@@ -68,13 +72,12 @@ def test_round_trip_property(data):
     values = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
                                          min_size=n, max_size=n), label="values"))
     ts = TimeSeries(start + np.concatenate([[0.0], np.cumsum(gaps)]), values)
-    ycum = cusum(ts)
-    back = inverse_cusum(ycum)
+    y = cusum(ts)
+    back = difference_cumulative(ts.times, y)
     h = np.concatenate([[1.0], np.diff(ts.times)])[:, None]
-    bound = 4.0 * np.finfo(float).eps * (np.abs(values) + np.abs(ycum.cum_values) / h)
-    assert np.array_equal(back.times, ts.times)
-    assert np.array_equal(back.values[0], values[0])
-    assert np.all(np.abs(back.values - values) <= bound + np.finfo(float).tiny)
+    bound = 4.0 * np.finfo(float).eps * (np.abs(values) + np.abs(y) / h)
+    assert np.array_equal(back[0], values[0])
+    assert np.all(np.abs(back - values) <= bound + np.finfo(float).tiny)
 
 
 def test_trapezoid_constant_integrand():
@@ -113,6 +116,6 @@ def test_cusum_close_to_offset_integral():
     times = np.arange(0.0, 4.0 + 1e-12, h)
     x = np.exp(times)
     ts = TimeSeries(times, x)
-    running = cusum(ts).cum_values[:, 0]
+    running = cusum(ts)[:, 0]
     offset_integral = x[0] + trapezoid_cumulative(ts)[:, 0]
     assert np.max(np.abs(running - offset_integral)) <= 2.0 * x.max() * h
