@@ -17,7 +17,7 @@ from greymatch import (
     add_noise,
     fit_grey,
     fit_matching,
-    forecast_fit,
+    forecast_fits,
     generate_clean,
     lotka_volterra_truth,
     reduced_to_grey,
@@ -55,13 +55,10 @@ print(f"  eta=({match_fit.params.eta[0]:.4f}, {match_fit.params.eta[1]:.4f})\n")
 print("two-step pipeline, seeding the cumulative solver two ways:")
 for label, initials in (("noisy first point", None),
                         ("true initial value", tuple(truth.eta))):
-    blow_ups = 0
     trials = 20
-    for rep in range(trials):
-        draw = add_noise(clean, 0.04, (99, rep))
-        fit = fit_grey(draw, spec, GreyFitConfig(initial_values=initials))
-        if forecast_fit(fit, 0).blown_up:
-            blow_ups += 1
+    fits = [fit_grey(add_noise(clean, 0.04, (99, rep)), spec,
+                     GreyFitConfig(initial_values=initials)) for rep in range(trials)]
+    blow_ups = sum(forecast.blown_up for forecast in forecast_fits(fits, 0))
     print(f"  {label:>18}: {blow_ups}/{trials} trajectories blew up")
 print("\na noisy seed can push the second component negative, which escapes the")
 print("closed orbits of the interaction system and diverges in finite time;")

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    BlowUpError,
     ConfigError,
     FitResult,
     GREY_FORM,
@@ -402,8 +401,6 @@ def cmd_fit(args, out_dir: Path):
             horizon = 0 if split is None else ts.n - split
             future = None if split is None else ts.times[split:]
             forecast = forecast_fit(fit, horizon, future_times=future)
-        if forecast.blown_up:
-            raise BlowUpError("fitted trajectory blew up while computing fitted values")
     except GreyModelError as exc:
         write_json(out_dir / "fit.json", {
             "schema_version": FIT_SCHEMA_VERSION,
@@ -453,11 +450,6 @@ def cmd_forecast(args, out_dir: Path):
         raise ParseError(f"{args.fit}: malformed fit document: {exc}") from exc
 
     forecast = forecast_fit(fit, args.horizon)
-    if forecast.blown_up:
-        raise BlowUpError(
-            f"forecast trajectory blew up at index {forecast.blowup_index}; output suppressed"
-        )
-
     path = out_dir / "forecast.csv"
     write_csv(path, ["t"] + [f"x{i}" for i in range(1, fit.spec.dimension + 1)] + ["blown_up"],
               ([t, *row, "false"] for t, row in zip(forecast.times, forecast.fitted_and_forecast)))

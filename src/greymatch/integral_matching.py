@@ -211,8 +211,9 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
     the whole series (the held-out stamps entered as true forecasts); without
     a split the in-sample RMSE is used.  Every fitted candidate is integrated
     in one batched pass (``forecast_fits``), each row bitwise its own
-    ``forecast_fit``.  Candidates whose fit or forecast fails are skipped;
-    exact ties go to the smaller exponent.
+    ``forecast_fit``.  Candidates whose fit fails, whose trajectory leaves
+    the basis' domain (no forecast) or blows up are skipped; exact ties go to
+    the smaller exponent.
 
     Returns the winning exponent, its (training-segment) fit, and its forecast
     from that pass: the fitted values plus the held-out stamps with a split,
@@ -244,11 +245,9 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
             fits.append(fit_matching_power(fit_series, power_family_spec(family, lo + i * step)))
         except GreyModelError:
             continue
-    # a trajectory that left the domain is flagged as blown up too
-    forecasts, _ = forecast_fits(fits, horizon, future_times=future)
     best: Optional[Tuple[float, FitResult, Forecast]] = None
-    for fit, forecast in zip(fits, forecasts):
-        if forecast.blown_up:
+    for fit, forecast in zip(fits, forecast_fits(fits, horizon, future_times=future)):
+        if forecast is None or forecast.blown_up:
             continue
         score = score_of(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
         if np.isfinite(score) and (best is None or score < best[0]):

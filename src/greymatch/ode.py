@@ -277,12 +277,15 @@ def solve_grey(spec: ModelSpec, params, times,
     return _one_row(traj) if isinstance(params, ParameterSet) else traj
 
 
-def solve_reduced(spec: ModelSpec, params: ParameterSet, times,
+def solve_reduced(spec: ModelSpec, params, times,
                   substeps: Optional[int] = None) -> Trajectory:
-    """Trajectory of the reduced augmented system (a batch of one row); columns
-    0..d-1 hold x, d..2d-1 hold y."""
-    rhs = reduced_augmented_rhs(spec, params)
-    return _one_row(rk4_integrate(rhs, [reduced_initial_state(params)], times, substeps))
+    """Trajectory of the reduced augmented system; columns 0..d-1 hold x,
+    d..2d-1 hold y.  ``params`` is one reduced-form set or a sequence of B
+    sets sharing ``spec``, as in ``solve_grey``."""
+    batch = _batch(params)
+    traj = rk4_integrate(reduced_augmented_rhs(spec, batch),
+                         [reduced_initial_state(p) for p in batch], times, substeps)
+    return _one_row(traj) if isinstance(params, ParameterSet) else traj
 
 
 def extend_times(times: np.ndarray, horizon: int,
@@ -306,10 +309,6 @@ def extend_times(times: np.ndarray, horizon: int,
     if not np.all(np.diff(grid) > 0):
         raise ConfigError("future stamps must continue the grid strictly increasing")
     return grid
-
-
-def _is_power_reduced(fit: FitResult) -> bool:
-    return fit.params.form == REDUCED_FORM and isinstance(fit.spec.basis, PowerUnivariate)
 
 
 def power_batch_rhs(fits: Sequence[FitResult]) -> Tuple[VectorField, np.ndarray]:
@@ -349,66 +348,58 @@ def power_batch_rhs(fits: Sequence[FitResult]) -> Tuple[VectorField, np.ndarray]
     return rhs, left_domain
 
 
-def _forecast_batch(fits: Sequence[FitResult],
-                    grid: np.ndarray) -> Tuple[List[Optional[Forecast]], List[bool]]:
-    """Forecast fits of one route in one RK4 pass: reduced power-family fits of
-    any exponent, or fits that share one spec and one form."""
-    spec, params = fits[0].spec, [fit.params for fit in fits]
-    grey = params[0].form == GREY_FORM
-    if _is_power_reduced(fits[0]):
-        rhs, left_domain = power_batch_rhs(fits)
-    else:
-        left_domain = np.zeros(len(fits), dtype=bool)  # these fields raise instead
-        rhs = grey_rhs(spec, params) if grey else reduced_augmented_rhs(spec, params)
-    initial = [p.eta if grey else reduced_initial_state(p) for p in params]
-    try:
-        traj = rk4_integrate(rhs, initial, grid)
-    except DomainError:
-        # a basis raises for the whole batch; each row alone shows which left its domain
-        if len(fits) == 1:
-            return [None], [True]
-        rows = [_forecast_batch([fit], grid) for fit in fits]
-        return [f for (f,), _ in rows], [left for _, (left,) in rows]
-    forecasts = []
-    for i, k in enumerate(traj.row_blowup_index.tolist()):
-        states = traj.states[:, i]
-        x = difference_cumulative(grid, states) if grey else states[:, :spec.dimension]
-        forecasts.append(Forecast(grid, x, k if k >= 0 else None))
-    return forecasts, left_domain.tolist()
+def _route(fit: FitResult):
+    """"power" for a reduced power-family fit, otherwise the fit's spec and form."""
+    if fit.params.form == REDUCED_FORM and isinstance(fit.spec.basis, PowerUnivariate):
+        return "power"
+    return fit.spec, fit.params.form
 
 
 def forecast_fits(fits: Sequence[FitResult], horizon: int,
-                  future_times=None) -> Tuple[List[Optional[Forecast]], np.ndarray]:
-    """Forecast fits on one shared grid, extended by ``horizon`` stamps, in batched passes.
+                  future_times=None) -> List[Optional[Forecast]]:
+    """Forecast fits of one route on their shared grid, extended by ``horizon``
+    stamps, in one RK4 pass.
 
-    Reduced power-family fits go through ``power_batch_rhs`` together; every
-    other group of fits sharing one spec and one form goes through its field
-    (``grey_rhs``, ``reduced_augmented_rhs``) in one RK4 pass.  Each forecast
-    is bitwise the one its fit gets alone, so the result depends neither on
-    the batch's size nor on its other members.
+    A route is either one spec and one form (through ``solve_grey`` or
+    ``solve_reduced``) or reduced power-family fits of any exponents (through
+    ``power_batch_rhs``); fits of mixed routes or grids are a ``ConfigError``.
+    Each forecast is bitwise the one its fit gets alone, so the result depends
+    neither on the batch's size nor on its other members.
 
-    Returns the forecasts in input order and a mask of the fits whose
-    trajectory left the basis' domain; those never raise, so the others carry
-    on.  A reduced power-family row that left is flagged as blown up where it
-    left; a grey-form row, whose basis raises mid-pass, has no forecast (None).
+    Returns the forecasts in input order.  A fit whose trajectory left its
+    basis' domain gets None; a fit that blew up keeps its flagged forecast.
+    Neither raises, so the other rows carry on.
     """
     if not fits:
-        return [], np.zeros(0, dtype=bool)
+        return []
+    route = _route(fits[0])
     for fit in fits:
         if not np.array_equal(fit.times, fits[0].times):
             raise ConfigError("the batched forecast needs fits on one shared grid")
+        if _route(fit) != route:
+            raise ConfigError("the batched forecast needs fits of one route: one spec "
+                              "and one form, or reduced power-family fits")
     grid = extend_times(fits[0].times, horizon, future_times)
-    groups = {}
-    for i, fit in enumerate(fits):
-        key = "power" if _is_power_reduced(fit) else (fit.spec, fit.params.form)
-        groups.setdefault(key, []).append(i)
-    forecasts: List[Optional[Forecast]] = [None] * len(fits)
-    left_domain = np.zeros(len(fits), dtype=bool)
-    for rows in groups.values():
-        group, left = _forecast_batch([fits[i] for i in rows], grid)
-        for i, forecast, flag in zip(rows, group, left):
-            forecasts[i], left_domain[i] = forecast, flag
-    return forecasts, left_domain
+    spec, params = fits[0].spec, [fit.params for fit in fits]
+    grey = params[0].form == GREY_FORM
+    left_domain = [False] * len(fits)
+    try:
+        if route == "power":
+            rhs, left_domain = power_batch_rhs(fits)
+            traj = rk4_integrate(rhs, [reduced_initial_state(p) for p in params], grid)
+        else:
+            traj = (solve_grey if grey else solve_reduced)(spec, params, grid)
+    except DomainError:
+        # a basis raises for the whole batch; each row alone shows which left its domain
+        if len(fits) == 1:
+            return [None]
+        return [forecast_fits([fit], horizon, future_times)[0] for fit in fits]
+    forecasts: List[Optional[Forecast]] = []
+    for i, (k, left) in enumerate(zip(traj.row_blowup_index.tolist(), left_domain)):
+        states = traj.states[:, i]
+        x = difference_cumulative(grid, states) if grey else states[:, :spec.dimension]
+        forecasts.append(None if left else Forecast(grid, x, k if k >= 0 else None))
+    return forecasts
 
 
 def forecast_fit(fit: FitResult, horizon: int, future_times=None) -> Forecast:
@@ -416,15 +407,17 @@ def forecast_fit(fit: FitResult, horizon: int, future_times=None) -> Forecast:
 
     Grey-form fits integrate the cumulative model and difference back to the
     original scale; reduced-form fits integrate the augmented system and read
-    the original state off directly.  This is the one-row case of
-    ``forecast_fits``, except that a trajectory leaving the basis' domain
-    raises ``DomainError``.
+    the original state off directly.  This is the one-fit case of
+    ``forecast_fits``, and it returns a whole forecast: a trajectory that
+    leaves the basis' domain raises ``DomainError``, and one that blows up
+    raises ``BlowUpError``.
     """
-    (forecast,), left_domain = forecast_fits([fit], horizon, future_times)
-    if left_domain[0]:
-        where = "" if forecast is None else \
-            f" by t={forecast.times[forecast.blowup_index]:g}"
-        raise DomainError(f"the trajectory left the domain of the basis {fit.spec.basis}{where}")
+    (forecast,) = forecast_fits([fit], horizon, future_times)
+    if forecast is None:
+        raise DomainError(f"the trajectory left the domain of the basis {fit.spec.basis}")
+    if forecast.blown_up:
+        raise BlowUpError(f"the trajectory blew up by t={forecast.times[forecast.blowup_index]:g}"
+                          f" (sample {forecast.blowup_index})")
     return forecast
 
 

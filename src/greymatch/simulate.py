@@ -41,6 +41,9 @@ from .ode import forecast_fits, solve_reduced
 
 KNOWN_ESTIMATORS = (METHOD_GREY_TWOSTEP, METHOD_INTEGRAL_MATCHING)
 
+#: one name per record status; perfbench/run.py lists its traced failure
+#: counters from these names, so STATUS_SINGULAR and STATUS_INITIAL stay
+#: although nothing in the package reads them
 STATUS_OK = "ok"
 STATUS_BLOW_UP = BlowUpError.status
 STATUS_SINGULAR = SingularDesignError.status
@@ -268,10 +271,9 @@ def _run_estimator(estimator: str, series: Sequence[TimeSeries], config: Scenari
             # not converge, a non-finite estimate) is recorded, never raised
             records[i] = [record(i, "failure", float("nan"),
                                  getattr(exc, "status", STATUS_ERROR))]
-    forecasts, left_domain = forecast_fits(list(fits.values()), 0)
-    for (i, fit), fitted, left in zip(fits.items(), forecasts, left_domain):
-        if left or fitted.blown_up:
-            status = STATUS_DOMAIN if left else STATUS_BLOW_UP
+    for (i, fit), fitted in zip(fits.items(), forecast_fits(list(fits.values()), 0)):
+        if fitted is None or fitted.blown_up:
+            status = STATUS_DOMAIN if fitted is None else STATUS_BLOW_UP
             records[i] = [record(i, "failure", float("nan"), status)]
             continue
         records[i] = [record(i, name, value) for name, value in common_parameters(fit)]

@@ -146,6 +146,20 @@ class TestFitCommand:
         assert doc["error"]["exit_code"] == 3
         assert doc["error"]["category"] == "SingularDesignError"
 
+    def test_blown_up_fitted_values_exit_4(self, tmp_path):
+        # fitted on 12 years of super-exponential growth, the quadratic model
+        # diverges before the 40 held-out years end
+        times = np.arange(1.0, 53.0)
+        path = tmp_path / "expl.csv"
+        write_csv(path, times, 0.05 * np.exp(0.9 * times))
+        out = tmp_path / "o4"
+        assert main(["fit", str(path), "--model", "poly:2", "--split", "12",
+                     "--out-dir", str(out)]) == 4
+        doc = json.loads((out / "fit.json").read_text())
+        assert doc["error"]["exit_code"] == 4
+        assert doc["error"]["category"] == "BlowUpError"
+        assert not (out / "report.csv").exists()
+
     def test_domain_error_exit_5(self, tmp_path):
         path = tmp_path / "neg.csv"
         write_csv(path, range(6), [-5.0, -4.0, -3.0, -2.0, -1.0, -0.5])

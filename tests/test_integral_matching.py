@@ -340,9 +340,7 @@ def serial_search(ts, family, lo, hi, step, split):
         try:
             fit = fit_matching_power(train, power_family_spec(family, gamma))
             forecast = forecast_fit(fit, test.n, future_times=test.times)
-        except GreyModelError:
-            continue
-        if forecast.blown_up:
+        except GreyModelError:    # a blown-up forecast raises BlowUpError
             continue
         score = integral_matching.mape(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
         if np.isfinite(score) and (best is None or score < best[0]):

@@ -233,22 +233,23 @@ class TestDefaultStepErrorTarget:
     def test_yearly_forecasts(self, monkeypatch):
         # IGVM by matching, grey under fix_first and fix_last, and INGBM at the
         # exponent the benchmark search selects, each forecast 7 years ahead
-        fits = []
+        # one batch per route
+        routes = {"matching": [], "grey": [], "power": []}
         for dataset, gamma in ((sewage_discharge, 1.0), (water_use, 0.63)):
             train, _ = train_test_split(dataset(), TRAIN_SIZE)
-            fits.append(fit_matching(train, verhulst_spec()))
+            routes["matching"].append(fit_matching(train, verhulst_spec()))
             for strategy in (FIX_FIRST, FIX_LAST):
                 config = GreyFitConfig(initial_value_strategy=strategy)
-                fits.append(fit_grey(train, verhulst_spec(), config))
-            fits.append(fit_matching_power(train, power_family_spec("ingbm", gamma)))
-        assert default_substeps(extend_times(fits[0].times, 7)) == 32
-        forecasts, _ = forecast_fits(fits, 7)
+                routes["grey"].append(fit_grey(train, verhulst_spec(), config))
+            routes["power"].append(fit_matching_power(train, power_family_spec("ingbm", gamma)))
+        assert default_substeps(extend_times(routes["grey"][0].times, 7)) == 32
+        forecasts = {route: forecast_fits(fits, 7) for route, fits in routes.items()}
         monkeypatch.setattr(ode, "DEFAULT_MAX_STEP", ode.DEFAULT_MAX_STEP / REFERENCE_FACTOR)
-        references, _ = forecast_fits(fits, 7)
-        for fit, forecast, reference in zip(fits, forecasts, references):
-            error = worst_relative_error(forecast.fitted_and_forecast,
-                                         reference.fitted_and_forecast)
-            assert error <= ERROR_TARGET, (fit.method, fit.params.form, error)
+        for route, fits in routes.items():
+            for fit, forecast, reference in zip(fits, forecasts[route], forecast_fits(fits, 7)):
+                error = worst_relative_error(forecast.fitted_and_forecast,
+                                             reference.fitted_and_forecast)
+                assert error <= ERROR_TARGET, (fit.method, fit.params.form, error)
 
     @pytest.mark.parametrize("config", verhulst_n_sweep(1), ids=lambda c: c.scenario_id)
     def test_verhulst_size_sweep_truth(self, config):
@@ -458,6 +459,25 @@ def assert_same_forecast(batched, alone):
     assert batched.blowup_index == alone.blowup_index
 
 
+def assert_row_is_its_fit_alone(forecast, fit, horizon):
+    """A batch's row equals the fit forecast alone, which ``forecast_fit`` returns
+    whole or refuses with ``BlowUpError`` where the row blew up."""
+    (alone,) = forecast_fits([fit], horizon)
+    assert_same_forecast(forecast, alone)
+    if forecast.blown_up:
+        with pytest.raises(BlowUpError):
+            forecast_fit(fit, horizon)
+    else:
+        assert_same_forecast(forecast, forecast_fit(fit, horizon))
+
+
+def grey_power_fit(beta, times):
+    """A grey fit of dy/dt = y + 0.5 sqrt(y) + beta; beta = -40 drives y below 0."""
+    params = ParameterSet([[1.0]], [[0.5]], [1.0], beta=[beta], form=GREY_FORM)
+    return FitResult(power_spec(0.5, include_constant=True), params, METHOD_GREY_TWOSTEP,
+                     np.zeros((times.size - 1, 1)), 1.0, times)
+
+
 class TestBatched:
     @given(rows=st.lists(pair_rows, min_size=1, max_size=6), n=st.integers(2, 8),
            substeps=st.integers(1, 4), data=st.data())
@@ -481,21 +501,22 @@ class TestBatched:
     def test_power_forecast_rows_equal_serial_runs(self, rows, n, horizon):
         times = 0.05 * np.arange(float(n))
         fits = [power_fit(*row, times) for row in rows]
-        forecasts, left_domain = forecast_fits(fits, horizon)
-        for fit, forecast, left in zip(fits, forecasts, left_domain):
-            (alone,), alone_left = forecast_fits([fit], horizon)
+        for fit, forecast in zip(fits, forecast_fits(fits, horizon)):
+            (alone,) = forecast_fits([fit], horizon)
+            if forecast is None:
+                assert alone is None
+                with pytest.raises(DomainError):
+                    forecast_fit(fit, horizon)
+                continue
             assert np.array_equal(forecast.fitted_and_forecast, alone.fitted_and_forecast,
                                   equal_nan=True)
             assert row_index(forecast) == row_index(alone)
-            assert left == alone_left[0]
-            assert forecast.blown_up or not left
-            if left:
-                with pytest.raises(DomainError):
+            if forecast.blown_up:
+                with pytest.raises(BlowUpError):
                     forecast_fit(fit, horizon)
             else:
                 single = forecast_fit(fit, horizon)
-                assert np.array_equal(single.fitted_and_forecast,
-                                      forecast.fitted_and_forecast, equal_nan=True)
+                assert np.array_equal(single.fitted_and_forecast, forecast.fitted_and_forecast)
                 assert row_index(single) == row_index(forecast)
 
     def test_bad_rows_do_not_stop_the_batch(self):
@@ -503,15 +524,16 @@ class TestBatched:
         fits = [power_fit(1.0, 0.5, 0.5, 1.0, 1.0, times),     # runs to the end
                 power_fit(80.0, 5.0, 2.0, 1.0, 1.0, times),    # overflows the guard
                 power_fit(1.0, 0.5, 0.5, 0.1, -3.0, times)]    # y drops below 0
-        forecasts, left_domain = forecast_fits(fits, 2)
-        assert [f.blown_up for f in forecasts] == [False, True, True]
-        assert list(left_domain) == [False, False, True]
-        for forecast in forecasts[1:]:
-            k = forecast.blowup_index
-            assert 0 < k < times.size
-            assert np.all(np.isfinite(forecast.fitted_and_forecast[:k]))
-            assert np.all(np.isnan(forecast.fitted_and_forecast[k:]))
+        forecasts = forecast_fits(fits, 2)
+        assert forecasts[2] is None
+        assert [f.blown_up for f in forecasts[:2]] == [False, True]
+        k = forecasts[1].blowup_index
+        assert 0 < k < times.size
+        assert np.all(np.isfinite(forecasts[1].fitted_and_forecast[:k]))
+        assert np.all(np.isnan(forecasts[1].fitted_and_forecast[k:]))
         assert np.all(np.isfinite(forecasts[0].fitted_and_forecast))
+        with pytest.raises(BlowUpError):
+            forecast_fit(fits[1], 2)
         with pytest.raises(DomainError):
             forecast_fit(fits[2], 2)
 
@@ -522,8 +544,8 @@ class TestBatched:
         train, test = train_test_split(dataset(), TRAIN_SIZE)
         fits = [fit_matching_power(train, power_family_spec(family, 0.25 * i))
                 for i in range(1, 9)]
-        forecasts, left_domain = forecast_fits(fits, test.n, test.times)
-        assert not left_domain.any()
+        forecasts = forecast_fits(fits, test.n, test.times)
+        assert all(forecast is not None for forecast in forecasts)
         grid = extend_times(train.times, test.n, test.times)
         for fit, forecast in zip(fits, forecasts):
             traj = solve_reduced(fit.spec, fit.params, grid)
@@ -534,11 +556,11 @@ class TestBatched:
            horizon=st.integers(0, 2))
     def test_forecast_rows_equal_forecast_fit_alone(self, rows, n, horizon):
         times = 0.05 * np.arange(float(n))
-        fits = [shared_spec_fit(kind, coefs, start, times) for kind, coefs, start in rows]
-        forecasts, left_domain = forecast_fits(fits, horizon)
-        assert not left_domain.any()
-        for fit, forecast in zip(fits, forecasts):
-            assert_same_forecast(forecast, forecast_fit(fit, horizon))
+        for route in ("poly-grey", "lv-grey", "lv-reduced"):
+            fits = [shared_spec_fit(kind, coefs, start, times)
+                    for kind, coefs, start in rows if kind == route]
+            for fit, forecast in zip(fits, forecast_fits(fits, horizon)):
+                assert_row_is_its_fit_alone(forecast, fit, horizon)
 
     def test_blown_up_rows_in_a_shared_spec_batch(self):
         times = 0.05 * np.arange(11.0)
@@ -549,38 +571,63 @@ class TestBatched:
                 ("lv-reduced", (1.2, -1.0, -0.3, 0.4), (5.0, 0.7, 4.0, 1.5)),
                 ("lv-reduced", (6.0, 6.0, 6.0, 6.0), (4.0, 4.0, 4.0, 4.0))]
         fits = [shared_spec_fit(kind, coefs, start, times) for kind, coefs, start in rows]
-        forecasts, left_domain = forecast_fits(fits, 2)
-        assert [f.blown_up for f in forecasts] == [False, True] * 3
-        assert not left_domain.any()
-        for fit, forecast in zip(fits, forecasts):
-            assert_same_forecast(forecast, forecast_fit(fit, 2))
-            if forecast.blown_up:
-                k = forecast.blowup_index
-                assert np.all(np.isnan(forecast.fitted_and_forecast[k:]))
-        # neither the batch's size nor its other members change a row
-        for i, fit in enumerate(fits):
-            (alone,), _ = forecast_fits([fit], 2)
-            assert_same_forecast(forecasts[i], alone)
-        reordered, _ = forecast_fits(fits[::-1], 2)
-        for forecast, other in zip(forecasts, reordered[::-1]):
-            assert_same_forecast(forecast, other)
+        for route in range(0, len(fits), 2):    # each route's runner and blow-up
+            batch = fits[route:route + 2]
+            forecasts = forecast_fits(batch, 2)
+            assert [f.blown_up for f in forecasts] == [False, True]
+            # neither the batch's size nor its other members change a row
+            for fit, forecast in zip(batch, forecasts):
+                assert_row_is_its_fit_alone(forecast, fit, 2)
+                if forecast.blown_up:
+                    k = forecast.blowup_index
+                    assert np.all(np.isnan(forecast.fitted_and_forecast[k:]))
+            for forecast, other in zip(forecasts, forecast_fits(batch[::-1], 2)[::-1]):
+                assert_same_forecast(forecast, other)
 
     def test_grey_row_leaving_the_domain_is_flagged(self):
         times = 0.05 * np.arange(11.0)
-        spec = power_spec(0.5, include_constant=True)
-
-        def grey_power(beta):
-            params = ParameterSet([[1.0]], [[0.5]], [1.0], beta=[beta], form=GREY_FORM)
-            return FitResult(spec, params, METHOD_GREY_TWOSTEP, np.zeros((10, 1)), 1.0, times)
-
-        fits = [grey_power(0.0), grey_power(-40.0), grey_power(0.1)]
-        forecasts, left_domain = forecast_fits(fits, 1)
-        assert list(left_domain) == [False, True, False]
+        fits = [grey_power_fit(beta, times) for beta in (0.0, -40.0, 0.1)]
+        forecasts = forecast_fits(fits, 1)
         assert forecasts[1] is None
         for i in (0, 2):
             assert_same_forecast(forecasts[i], forecast_fit(fits[i], 1))
         with pytest.raises(DomainError):
             forecast_fit(fits[1], 1)
+
+    def test_reduced_power_row_leaving_the_domain_is_none(self):
+        times = 0.05 * np.arange(11.0)
+        fits = [power_fit(1.0, 0.5, 0.5, 1.0, 1.0, times),
+                power_fit(1.0, 0.5, 0.5, 0.1, -3.0, times),    # y drops below 0
+                power_fit(1.0, 0.5, 1.5, 1.0, 1.0, times)]
+        forecasts = forecast_fits(fits, 1)
+        assert forecasts[1] is None
+        assert forecast_fits([fits[1]], 1) == [None]
+        for i in (0, 2):
+            assert_same_forecast(forecasts[i], forecast_fit(fits[i], 1))
+
+    @pytest.mark.parametrize("form", [GREY_FORM, REDUCED_FORM])
+    def test_forecast_fit_raises_a_typed_error(self, form):
+        times = 0.05 * np.arange(11.0)
+        if form == GREY_FORM:
+            blows_up = shared_spec_fit("poly-grey", (0.0, 6.0, 6.0, 0.0), (4.0,), times)
+            leaves = grey_power_fit(-40.0, times)
+        else:
+            blows_up = power_fit(80.0, 5.0, 2.0, 1.0, 1.0, times)
+            leaves = power_fit(1.0, 0.5, 0.5, 0.1, -3.0, times)
+        assert blows_up.params.form == leaves.params.form == form
+        with pytest.raises(BlowUpError):
+            forecast_fit(blows_up, 2)
+        with pytest.raises(DomainError):
+            forecast_fit(leaves, 2)
+
+    def test_fits_of_mixed_routes_are_refused(self):
+        times = 0.05 * np.arange(6.0)
+        lv = [shared_spec_fit(kind, (1.2, -1.0, -0.3, 0.4), (5.0, 0.7, 0.1, 0.0), times)
+              for kind in ("lv-grey", "lv-reduced")]
+        power = power_fit(1.0, 0.5, 0.5, 1.0, 1.0, times)
+        for fits in (lv, [power, lv[1]], [power, grey_power_fit(0.0, times)]):
+            with pytest.raises(ConfigError):
+                forecast_fits(fits, 1)
 
     def test_fits_on_different_grids_are_refused(self):
         fits = [power_fit(1.0, 0.5, 0.5, 1.0, 1.0, 0.05 * np.arange(5.0)),
