@@ -347,6 +347,8 @@ def _validate_fit_flags(args) -> None:
         raise ConfigError(f"--model {args.model} needs --gamma or --gamma-search")
     if args.init_strategy is not None and args.method != "grey":
         raise ConfigError("--init-strategy applies to --method grey only")
+    if args.lam is not None and args.method != "grey":
+        raise ConfigError("--lambda applies to --method grey only")
     if args.gamma_search is not None and args.method == "grey":
         raise ConfigError("--gamma-search is defined for --method matching only")
 
@@ -383,7 +385,8 @@ def cmd_fit(args, out_dir: Path):
         if args.method == "grey":
             spec = _resolve_spec(args.model, args.gamma)
             grey_config = GreyFitConfig(
-                background_coefficient=args.lam,
+                background_coefficient=(GreyFitConfig.background_coefficient
+                                        if args.lam is None else args.lam),
                 initial_value_strategy=args.init_strategy or "fix_first",
             )
             fit = fit_grey(train, spec, grey_config)
@@ -451,8 +454,8 @@ def cmd_forecast(args, out_dir: Path):
 
     forecast = forecast_fit(fit, args.horizon)
     path = out_dir / "forecast.csv"
-    write_csv(path, ["t"] + [f"x{i}" for i in range(1, fit.spec.dimension + 1)] + ["blown_up"],
-              ([t, *row, "false"] for t, row in zip(forecast.times, forecast.fitted_and_forecast)))
+    write_csv(path, ["t"] + [f"x{i}" for i in range(1, fit.spec.dimension + 1)],
+              ([t, *row] for t, row in zip(forecast.times, forecast.fitted_and_forecast)))
     print(f"wrote {path}")
     return {"fit": args.fit, "horizon": args.horizon}, args.fit, [path.name]
 
@@ -612,8 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="grid-search the power exponent (matching only)")
     fit.add_argument("--split", type=int, default=None,
                      help="train on the first SPLIT samples, test on the rest")
-    fit.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                     help="background coefficient of the two-step design")
+    fit.add_argument("--lambda", dest="lam", type=float, default=None,
+                     help="background coefficient of the two-step design (--method grey; "
+                          "default 0.5)")
     fit.add_argument("--init-strategy", choices=INITIAL_STRATEGIES, default=None,
                      help="initial-value strategy of the two-step pipeline")
     fit.add_argument("--out-dir", default=".")

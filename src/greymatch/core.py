@@ -137,13 +137,15 @@ class TimeSeries:
 # ---------------------------------------------------------------------------
 
 class NonlinearBasis:
-    """A vector of nonlinear monomials N(y): R^d -> R^p with analytic Jacobian.
+    """A vector of nonlinear monomials N(y): R^d -> R^p.
 
-    Both methods take a batch of B states as a (B, d) array.  They are built
-    from elementwise products only: integer powers by repeated
-    multiplication, with no numpy ``power``, no matrix product and no
-    scattered accumulation, so row i of the result depends on state i alone,
-    bit for bit, whatever the other rows are.
+    The polynomial kinds also give their analytic Jacobian, which the
+    one-step estimator's change of basis reads at the initial value; the
+    power kind has none.  Both methods take a batch of B states as a (B, d)
+    array.  They are built from elementwise products only: integer powers by
+    repeated multiplication, with no numpy ``power``, no matrix product and
+    no scattered accumulation, so row i of the result depends on state i
+    alone, bit for bit, whatever the other rows are.
     """
 
     dimension: int
@@ -231,24 +233,18 @@ class PowerUnivariate(NonlinearBasis):
                 f"power basis with gamma={self.gamma} requires a positive argument, got {v}"
             )
 
-    def _powers(self, y, exponent: float) -> np.ndarray:
-        # v ** exponent of each state of the (B, 1) batch, checked against the
+    def evaluate(self, y):
+        # v ** gamma of each state of the (B, 1) batch, checked against the
         # domain first; NaN where Python refuses (overflow, zero to a negative
         # power), so a trajectory flags the row instead of raising
         powers = []
         for v in y.ravel().tolist():
             self._check_domain(v)
             try:
-                powers.append(v ** exponent)
+                powers.append(v ** self.gamma)
             except (OverflowError, ZeroDivisionError):
                 powers.append(math.nan)
         return np.array(powers).reshape(-1, 1)
-
-    def evaluate(self, y):
-        return self._powers(y, self.gamma)
-
-    def jacobian(self, y):
-        return (self.gamma * self._powers(y, self.gamma - 1.0))[:, :, None]
 
 
 @dataclass(frozen=True)

@@ -84,38 +84,37 @@ def build_design_matching(ts: TimeSeries, spec: ModelSpec) -> Tuple[np.ndarray, 
     return _matching_layout(spec).design(trapezoid_cumulative(ts)[1:]), ts.values[1:]
 
 
-def polynomial_shift_coefficients(eta: float, p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Binomial change-of-basis data for the scalar polynomial family.
+def polynomial_shift_coefficients(eta: float, p: int) -> np.ndarray:
+    """Binomial mixing matrix of the scalar polynomial family.
 
-    For N(v) = [v^2, ..., v^(p+1)] the expansion of N(eta + v) - N(eta)
-    contributes a linear part phi (p-vector with entries C(m+1, 1) eta^m) and
-    a lower-triangular, unit-diagonal mixing matrix with entries
-    C(m+1, j+1) eta^(m-j).
+    For N(v) = [v^2, ..., v^(p+1)] the expansion of N(eta + v) - N(eta) is
+    J_N(eta) v plus this lower-triangular, unit-diagonal matrix, with entries
+    C(m+1, j+1) eta^(m-j), times N(v).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    phi = np.array([math.comb(m + 1, 1) * eta ** m for m in range(1, p + 1)])
     varphi = np.zeros((p, p))
     for m in range(1, p + 1):
         for j in range(1, m + 1):
             varphi[m - 1, j - 1] = math.comb(m + 1, j + 1) * eta ** (m - j)
-    return phi, varphi
+    return varphi
 
 
 def _shift_pair(spec: ModelSpec, eta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(psi, varphi) with N(eta + v) - N(eta) = psi @ v + varphi @ N(v) for the
     spec's basis kind, so that vartheta_L = theta_L + theta_N psi and
-    vartheta_N = theta_N varphi; empty blocks without a basis."""
+    vartheta_N = theta_N varphi; empty blocks without a basis.  psi is the
+    basis Jacobian J_N(eta)."""
     basis = spec.basis
-    if isinstance(basis, PolynomialUnivariate):
-        phi, varphi = polynomial_shift_coefficients(float(eta[0]), spec.p)
-        return phi[:, None], varphi
-    if isinstance(basis, QuadraticMultivariate):
-        # N(eta + v) - N(eta) = J_N(eta) v + N(v) exactly for quadratic monomials
-        return basis.jacobian(eta[None])[0], np.eye(basis.size)
     if basis is None:
         return np.zeros((0, spec.dimension)), np.eye(0)
-    raise ConfigError("change of basis applies to polynomial and quadratic bases only")
+    if isinstance(basis, PolynomialUnivariate):
+        varphi = polynomial_shift_coefficients(float(eta[0]), spec.p)
+    elif isinstance(basis, QuadraticMultivariate):
+        varphi = np.eye(basis.size)    # quadratic monomials: the second-order term is N(v)
+    else:
+        raise ConfigError("change of basis applies to polynomial and quadratic bases only")
+    return basis.jacobian(eta[None])[0], varphi
 
 
 def transform_parameters(params: ParameterSet, spec: ModelSpec) -> TransformedParameters:

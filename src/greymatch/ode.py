@@ -1,12 +1,16 @@
-"""Fixed-step integration of the unified model and its reduced augmented system,
-and forecasting of any fit from it.
+"""Fixed-step integration of the unified model, and forecasting of any fit from it.
+
+Both forms integrate one field, the cumulative model
+dy/dt = theta_L y + theta_N N(y) + beta.  A reduced-form fit is that model
+with beta = eta_x - theta_L eta - theta_N N(eta), and its original state is
+the model's rate, x = dy/dt, read off the same field at each sample.
 
 The integrator is a classical 4th-order Runge-Kutta scheme with a fixed number
 of substeps per sampling interval; determinism matters more than adaptivity
 here because the Monte Carlo harness must be exactly reproducible.  Divergence
 is detected with an overflow guard and reported via a flag, never an
 unhandled NaN.  It also integrates a batch of independent states in one pass,
-flagging each row on its own.  The model fields are written over such a batch
+flagging each row on its own.  The model field is written over such a batch
 of fits that share a spec, with explicit sums and no matrix products, so a
 fit forecast alone is the one-row case of a batch and equals its row there
 bit for bit.
@@ -32,6 +36,7 @@ from .core import (
     PowerUnivariate,
     REDUCED_FORM,
     _readonly,
+    reduced_to_grey,
 )
 from .transform import difference_cumulative
 
@@ -44,10 +49,10 @@ GUARD_SQ = 0.5 * OVERFLOW_GUARD ** 2
 #: is the largest power of two whose worst relative error, |x - r| / |r| in the
 #: max norm at each sample against 64x more substeps, is <= 1e-7 on the eight
 #: yearly fits forecast 7 steps ahead (<= 1.7e-10 at 32 substeps), the Verhulst
-#: truth on its size-sweep grids (h = 0.4, 0.2, 0.08, 0.04: 1.0e-8, 7.7e-9,
-#: 5.9e-9, 1.8e-9) and the two-species truth at h = 0.01 (2.8e-8, 1 substep);
-#: 2^-4 gives 1.25e-7 on Verhulst h = 0.4.  The two-species size-sweep grids
-#: (h = 0.25, 0.1, 0.05) miss the target at this step: 8.4e-6, 2.7e-6, 2.7e-6.
+#: truth on its size-sweep grids (h = 0.4, 0.2, 0.08, 0.04: 2.3e-8, 1.7e-8,
+#: 1.3e-8, 4.1e-9) and the two-species truth at h = 0.01 (9.4e-9, 1 substep);
+#: 2^-4 gives 2.8e-7 on Verhulst h = 0.4.  The two-species size-sweep grids
+#: (h = 0.25, 0.1, 0.05) miss the target at this step: 8.7e-7, 3.7e-7, 3.7e-7.
 #: A power of two keeps every internal time exact on integer-spaced grids.
 DEFAULT_MAX_STEP = 2.0 ** -5
 
@@ -219,47 +224,6 @@ def grey_rhs(spec: ModelSpec, params) -> VectorField:
     return rhs
 
 
-def reduced_augmented_rhs(spec: ModelSpec, params) -> VectorField:
-    """Vector field of the reduced model as a first-order system on (x, y).
-
-    The running integral y(t) = eta + int x is carried as extra state, so the
-    chain-rule term d/dt N(y) = J_N(y) x uses the analytic basis Jacobian:
-
-        dx/dt = theta_L x + theta_N J_N(y) x,   dy/dt = x.
-
-    ``params`` is one reduced-form parameter set or a sequence of B sets
-    sharing ``spec``; the field maps a (B, 2d) batch of rows [x, y] to their
-    derivatives, with J_N(y) x and dx/dt as explicit sums.
-    """
-    batch = _batch(params)
-    if any(p.form != REDUCED_FORM for p in batch):
-        raise ValueError("expected reduced-form parameters")
-    d = spec.dimension
-    coef = _coefficients(batch)
-    basis = spec.basis
-    if basis is None:
-        def rhs(t, u):
-            x = u[:, :d]
-            return np.concatenate([_combine(coef, x), x], axis=1)
-        return rhs
-
-    def rhs(t, u):
-        x = u[:, :d]
-        jac = basis.jacobian(u[:, d:])
-        if d == 1:
-            jx = jac[:, :, 0] * x
-        else:    # the d products of each row, added in order over the last axis
-            jx = np.add.accumulate(jac * x[:, None, :], axis=2)[:, :, -1]
-        return np.concatenate([_combine(coef, x, jx), x], axis=1)
-
-    return rhs
-
-
-def reduced_initial_state(params: ParameterSet) -> np.ndarray:
-    """Augmented initial state (x(t1), y(t1)) = (eta_x, eta) for the reduced system."""
-    return np.concatenate([params.initial_state(), params.eta])
-
-
 def _one_row(traj: Trajectory) -> Trajectory:
     return Trajectory(traj.times, traj.states[:, 0], traj.row_blowup_index)
 
@@ -277,14 +241,41 @@ def solve_grey(spec: ModelSpec, params, times,
     return _one_row(traj) if isinstance(params, ParameterSet) else traj
 
 
+def _with_rates(rhs: VectorField, traj: Trajectory) -> Trajectory:
+    """The ``[x | y]`` trajectory of a cumulative (n, B, d) one, whose rates
+    x(t_k) = rhs(t_k, y(t_k)) are read off the field that integrated y.
+
+    Each row keeps RK4's guard on the whole ``[x | y]`` row: a row whose x
+    fails it is flagged at that sample and is NaN from there on.
+    """
+    n, rows, d = traj.states.shape
+    out = np.empty((n, rows, 2 * d))
+    out[:, :, d:] = traj.states
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n):
+            out[k, :, :d] = rhs(traj.times[k], traj.states[k])
+    # NaN and +-inf fail the comparison, so the rows NaN after RK4's own flag do too
+    bad = ~(np.max(np.abs(out), axis=2) < OVERFLOW_GUARD)
+    first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+    out[np.logical_or.accumulate(bad, axis=0)] = np.nan    # a bad sample and all later ones
+    out.setflags(write=False)    # a fresh array Trajectory can keep without a copy
+    return Trajectory(traj.times, out, first_bad)
+
+
 def solve_reduced(spec: ModelSpec, params, times,
                   substeps: Optional[int] = None) -> Trajectory:
-    """Trajectory of the reduced augmented system; columns 0..d-1 hold x,
-    d..2d-1 hold y.  ``params`` is one reduced-form set or a sequence of B
-    sets sharing ``spec``, as in ``solve_grey``."""
-    batch = _batch(params)
-    traj = rk4_integrate(reduced_augmented_rhs(spec, batch),
-                         [reduced_initial_state(p) for p in batch], times, substeps)
+    """Trajectory of the reduced model; columns 0..d-1 hold x, d..2d-1 hold y.
+
+    The reduced model is the cumulative one read at its rate: each set is
+    converted by ``reduced_to_grey`` (beta = eta_x - theta_L eta -
+    theta_N N(eta)), y' = f(y) is integrated from y(t1) = eta, and
+    x(t_k) = f(y(t_k)) is read off the same field at each sample.
+    ``params`` is one reduced-form set or a sequence of B sets sharing
+    ``spec``, as in ``solve_grey``.
+    """
+    batch = [reduced_to_grey(p, spec) for p in _batch(params)]
+    rhs = grey_rhs(spec, batch)
+    traj = _with_rates(rhs, rk4_integrate(rhs, [p.eta for p in batch], times, substeps))
     return _one_row(traj) if isinstance(params, ParameterSet) else traj
 
 
@@ -311,41 +302,47 @@ def extend_times(times: np.ndarray, horizon: int,
     return grid
 
 
-def power_batch_rhs(fits: Sequence[FitResult]) -> Tuple[VectorField, np.ndarray]:
-    """Vector field of B reduced power-family fits on a (B, 2) state of rows [x, y].
+def power_batch_rhs(fits: Sequence[FitResult]) -> Tuple[VectorField, np.ndarray, np.ndarray]:
+    """Cumulative field of B reduced power-family fits on a (B, 1) state y, their
+    (B, 1) initial states eta, and a mask of the rows that left their domain.
 
-    Row i is the field of ``reduced_augmented_rhs`` for fit i,
-    dx/dt = a x + b gamma y^(gamma - 1) x and dy/dt = x, evaluated with the
-    same float operations in the same order, so each row is bitwise
-    independent of the others.  The rows are evaluated one by one because
-    the power must stay Python's ``float ** float`` (libm ``pow``, as in the
-    scalar basis), which numpy's vectorised power does not always reproduce.
+    Row i is the field of fit i's cumulative model (``reduced_to_grey``),
+    a y + b y^gamma + beta, evaluated with the float operations of
+    ``grey_rhs`` in the same order, so each row is bitwise its fit through
+    ``solve_reduced``.  The rows are evaluated one by one because the power
+    must stay Python's ``float ** float`` (libm ``pow``, as in the scalar
+    basis), which numpy's vectorised power does not always reproduce.
 
-    A row whose y leaves y > 0 under a non-integer exponent, or whose power
-    Python refuses (overflow, zero to a negative power), gets a NaN
-    derivative instead of an error; the returned mask marks the former.
+    A row whose eta or y leaves y > 0 under a non-integer exponent is marked
+    in the mask and gets a NaN derivative instead of an error, as does one
+    whose power Python refuses (overflow, zero to a negative power).
     """
     rows = []
-    for fit in fits:
-        a, b, g = fit.params.theta_L[0, 0], fit.params.theta_N[0, 0], float(fit.spec.basis.gamma)
-        rows.append((float(a), float(b), g, g - 1.0, not g.is_integer()))
-    left_domain = np.zeros(len(rows), dtype=bool)
+    left_domain = np.zeros(len(fits), dtype=bool)
+    for i, fit in enumerate(fits):
+        try:
+            beta = reduced_to_grey(fit.params, fit.spec).beta[0]
+        except DomainError:
+            left_domain[i], beta = True, math.nan
+        basis = fit.spec.basis
+        rows.append((float(fit.params.theta_L[0, 0]), float(fit.params.theta_N[0, 0]),
+                     basis.gamma, float(beta), basis.positive_only))
 
-    def rhs(t, u):
-        du = []
-        for i, ((x, y), (a, b, g, e, fractional)) in enumerate(zip(u.tolist(), rows)):
-            if fractional and y <= 0.0:
+    def rhs(t, y):
+        dy = []
+        for i, (v, (a, b, g, beta, fractional)) in enumerate(zip(y.ravel().tolist(), rows)):
+            if fractional and v <= 0.0:
                 left_domain[i] = True
-                jac = math.nan
+                power = math.nan
             else:
                 try:
-                    jac = g * y ** e
+                    power = v ** g
                 except (OverflowError, ZeroDivisionError):
-                    jac = math.nan
-            du += (a * x + b * (jac * x), x)
-        return np.array(du).reshape(-1, 2)
+                    power = math.nan
+            dy.append(a * v + b * power + beta)
+        return np.array(dy).reshape(-1, 1)
 
-    return rhs, left_domain
+    return rhs, np.array([fit.params.eta for fit in fits]), left_domain
 
 
 def _route(fit: FitResult):
@@ -385,8 +382,8 @@ def forecast_fits(fits: Sequence[FitResult], horizon: int,
     left_domain = [False] * len(fits)
     try:
         if route == "power":
-            rhs, left_domain = power_batch_rhs(fits)
-            traj = rk4_integrate(rhs, [reduced_initial_state(p) for p in params], grid)
+            rhs, etas, left_domain = power_batch_rhs(fits)
+            traj = _with_rates(rhs, rk4_integrate(rhs, etas, grid))
         else:
             traj = (solve_grey if grey else solve_reduced)(spec, params, grid)
     except DomainError:
@@ -405,9 +402,9 @@ def forecast_fits(fits: Sequence[FitResult], horizon: int,
 def forecast_fit(fit: FitResult, horizon: int, future_times=None) -> Forecast:
     """Integrate a fit over its grid extended by ``horizon`` stamps.
 
-    Grey-form fits integrate the cumulative model and difference back to the
-    original scale; reduced-form fits integrate the augmented system and read
-    the original state off directly.  This is the one-fit case of
+    Both forms integrate the cumulative model: grey-form fits difference it
+    back to the original scale, and reduced-form fits read the original state
+    off its field (``solve_reduced``).  This is the one-fit case of
     ``forecast_fits``, and it returns a whole forecast: a trajectory that
     leaves the basis' domain raises ``DomainError``, and one that blows up
     raises ``BlowUpError``.

@@ -9,7 +9,6 @@ PCG64 bit stream to keep runs reproducible across platforms.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -304,6 +303,8 @@ def run_monte_carlo(config: ScenarioConfig, workers: int = 1) -> MonteCarloRepor
     n = config.replications
     chunks = [range(start, min(start + CHUNK_SIZE, n)) for start in range(0, n, CHUNK_SIZE)]
     if workers > 1 and len(chunks) > 1:
+        # imported here: ``multiprocessing`` costs every command's start-up otherwise
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(_chunk_records, [config] * len(chunks),
                                       [clean] * len(chunks), chunks))

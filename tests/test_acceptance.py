@@ -69,7 +69,8 @@ def test_criterion_01_change_of_basis_identities():
                    + theta_N @ (evaluate_basis(basis, [eta + v])
                                 - evaluate_basis(basis, [eta]))
                    + eta)
-            phi, varphi = polynomial_shift_coefficients(eta, p)
+            phi = basis.jacobian(np.array([[eta]]))[0, :, 0]
+            varphi = polynomial_shift_coefficients(eta, p)
             rhs = ((theta_L + theta_N @ phi) * v
                    + (theta_N @ varphi) @ evaluate_basis(basis, [v])
                    + eta)

@@ -266,6 +266,8 @@ class TestFitCommand:
                      "--out-dir", out]) == 6
         assert main(["fit", sewage_csv, "--model", "igvm", "--method", "matching",
                      "--init-strategy", "fix_last", "--out-dir", out]) == 6
+        assert main(["fit", sewage_csv, "--model", "igvm", "--lambda", "0.3",
+                     "--out-dir", out]) == 6
 
     @pytest.mark.parametrize("method", ["grey", "matching"])
     def test_zero_observation_exit_6(self, tmp_path, capsys, method):
@@ -332,7 +334,7 @@ class TestForecastCommand:
         assert main(["forecast", str(out / "fit.json"), "--horizon", "7",
                      "--out-dir", str(fc_dir)]) == 0
         lines = (fc_dir / "forecast.csv").read_text().splitlines()
-        assert lines[0] == "t,x1,blown_up"
+        assert lines[0] == "t,x1"
         assert len(lines) == 1 + 11 + 7
         last = float(lines[-1].split(",")[1])
         assert abs(last - 124.85) / 124.85 < 0.01

@@ -91,7 +91,7 @@ class TestBases:
 
     @pytest.mark.parametrize("basis,point", [
         (PolynomialUnivariate(4), [0.7]),
-        (PowerUnivariate(0.63), [2.1]),
+        (QuadraticMultivariate(2), [2.1, -0.6]),
         (QuadraticMultivariate(3), [0.4, -1.2, 2.0]),
     ])
     def test_jacobian_matches_finite_differences(self, basis, point):
@@ -115,13 +115,17 @@ class TestBases:
         y = np.array(data.draw(st.lists(
             st.lists(st.floats(low, 1e3), min_size=basis.dimension,
                      max_size=basis.dimension), min_size=1, max_size=8)))
-        values, jac = basis.evaluate(y), basis.jacobian(y)
+        values = basis.evaluate(y)
         assert values.shape == (y.shape[0], basis.size)
-        assert jac.shape == (y.shape[0], basis.size, basis.dimension)
         for i in range(y.shape[0]):
             assert np.array_equal(values[i], basis.evaluate(y[i:i + 1])[0])
-            assert np.array_equal(jac[i], basis.jacobian(y[i:i + 1])[0])
             assert np.array_equal(values[i], evaluate_basis(basis, y[i]))
+        if isinstance(basis, PowerUnivariate):    # the power basis has no Jacobian
+            return
+        jac = basis.jacobian(y)
+        assert jac.shape == (y.shape[0], basis.size, basis.dimension)
+        for i in range(y.shape[0]):
+            assert np.array_equal(jac[i], basis.jacobian(y[i:i + 1])[0])
 
     def test_integer_powers_are_repeated_products(self):
         y = np.array([[1.1], [-0.3]])
@@ -134,9 +138,8 @@ class TestBases:
     def test_power_python_refuses_is_nan(self):
         # overflow and zero to a negative power flag the row; other rows keep their bits
         y = np.array([[1e200], [2.0], [0.0]])
-        values, jac = PowerUnivariate(3.0).evaluate(y), PowerUnivariate(3.0).jacobian(y)
+        values = PowerUnivariate(3.0).evaluate(y)
         assert np.isnan(values[0, 0]) and list(values[1:, 0]) == [8.0, 0.0]
-        assert np.isnan(jac[0, 0, 0]) and list(jac[1:, 0, 0]) == [12.0, 0.0]
         values = PowerUnivariate(-1.0).evaluate(y)
         assert np.isnan(values[2, 0]) and list(values[:2, 0]) == [1e-200, 0.5]
 
@@ -149,7 +152,7 @@ class TestBases:
         with pytest.raises(DomainError):
             PowerUnivariate(0.5).evaluate(np.array([[1.0], [-1.0]]))
         with pytest.raises(DomainError):
-            PowerUnivariate(0.5).jacobian(np.array([[0.0], [4.0]]))
+            PowerUnivariate(0.5).evaluate(np.array([[0.0], [4.0]]))
 
 
 class TestModelSpec:

@@ -116,11 +116,16 @@ def test_private_names_imported_only_from_core():
     assert not offenders, offenders
 
 
-def run_without_scipy(*argv):
+def run_python(*argv):
+    """Run a fresh interpreter that imports greymatch from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def run_without_scipy(*argv):
+    return run_python("-c", WITHOUT_SCIPY, *argv)
 
 
 def test_runs_without_scipy(tmp_path):
@@ -133,3 +138,11 @@ def test_runs_without_scipy(tmp_path):
                             "--out-dir", str(tmp_path / "fit"))
     assert fit.returncode == 0, fit.stderr
 
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # only a Monte Carlo run with more than one worker needs a process pool
+    run = run_python("-c", "import sys, greymatch.cli; print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'multiprocessing'))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -68,22 +68,25 @@ class TestDesign:
 
 class TestChangeOfBasis:
     def test_phi_varphi_p1(self):
-        phi, varphi = polynomial_shift_coefficients(0.7, 1)
+        phi = PolynomialUnivariate(2).jacobian(np.array([[0.7]]))[0, :, 0]
+        varphi = polynomial_shift_coefficients(0.7, 1)
         assert np.allclose(phi, [1.4])
         assert np.allclose(varphi, [[1.0]])
 
     def test_phi_varphi_p2_unit_eta(self):
-        phi, varphi = polynomial_shift_coefficients(1.0, 2)
+        phi = PolynomialUnivariate(3).jacobian(np.array([[1.0]]))[0, :, 0]
+        varphi = polynomial_shift_coefficients(1.0, 2)
         assert np.allclose(phi, [2.0, 3.0])
         assert np.allclose(varphi, [[1.0, 0.0], [3.0, 1.0]])
 
     def test_phi_varphi_degenerate_at_zero(self):
-        phi, varphi = polynomial_shift_coefficients(0.0, 3)
+        phi = PolynomialUnivariate(4).jacobian(np.array([[0.0]]))[0, :, 0]
+        varphi = polynomial_shift_coefficients(0.0, 3)
         assert np.allclose(phi, 0.0)
         assert np.allclose(varphi, np.eye(3))
 
     def test_varphi_unit_lower_triangular(self):
-        _, varphi = polynomial_shift_coefficients(-1.3, 5)
+        varphi = polynomial_shift_coefficients(-1.3, 5)
         assert np.allclose(np.diag(varphi), 1.0)
         assert np.allclose(varphi, np.tril(varphi))
 
@@ -116,7 +119,8 @@ class TestChangeOfBasis:
                    + theta_N @ (evaluate_basis(basis, [eta + v])
                                 - evaluate_basis(basis, [eta]))
                    + eta)
-            phi, varphi = polynomial_shift_coefficients(eta, p)
+            phi = basis.jacobian(np.array([[eta]]))[0, :, 0]
+            varphi = polynomial_shift_coefficients(eta, p)
             rhs = ((theta_L + theta_N @ phi) * v
                    + (theta_N @ varphi) @ evaluate_basis(basis, [v])
                    + eta)

@@ -29,7 +29,7 @@ from greymatch import (
     lv_noise_sweep,
     polynomial_spec,
     power_spec,
-    reduced_augmented_rhs,
+    reduced_to_grey,
     rk4_integrate,
     solve_grey,
     solve_reduced,
@@ -292,13 +292,6 @@ class TestVectorFields:
         expected = [1.2 * 2.0 - 0.3 * 6.0, -3.0 + 0.4 * 6.0]
         assert np.allclose(rhs(0.0, y), expected)
 
-    def test_reduced_rhs_verhulst_chain_rule(self):
-        spec = verhulst_spec()
-        rhs = reduced_augmented_rhs(spec, verhulst_reduced_truth())
-        x, y = 0.3, 0.9
-        out = rhs(0.0, np.array([[x, y]]))
-        assert np.allclose(out, [A * x + 2.0 * B * x * y, x])
-
     def test_reduced_rhs_linear_block_only(self):
         spec = ModelSpec(1, None)
         params = ParameterSet([[0.8]], np.zeros((1, 0)), [1.0], form=REDUCED_FORM)
@@ -313,6 +306,68 @@ class TestVectorFields:
         x_ts = TimeSeries(times, traj.states[:, :1])
         reconstructed = ETA + trapezoid_cumulative(x_ts)[:, 0]
         assert np.max(np.abs(traj.states[:, 1] - reconstructed)) < 1e-3
+
+
+def lotka_volterra_reduced(eta, eta_x):
+    return ParameterSet([[1.2, 0.0], [0.0, -1.0]], [[0.0, -0.3, 0.0], [0.0, 0.4, 0.0]],
+                        eta, eta_x=eta_x, form=REDUCED_FORM)
+
+
+class TestRatesReadOff:
+    """The reduced trajectory integrates the cumulative model and reads x off its field."""
+
+    @pytest.mark.parametrize("spec,sets", [
+        (verhulst_spec(), [verhulst_reduced_truth(),
+                           ParameterSet([[0.5]], [[-0.2]], [1.0], eta_x=[0.7],
+                                        form=REDUCED_FORM)]),
+        (lotka_volterra_spec(), [lotka_volterra_reduced([5.0, 0.7], [4.0, 1.5]),
+                                 lotka_volterra_reduced([2.0, 1.0], None)]),
+    ], ids=["verhulst", "lotka-volterra"])
+    def test_x_is_the_cumulative_field_at_y(self, spec, sets):
+        d = spec.dimension
+        times = np.linspace(0.0, 2.0, 9)
+        for params in (sets[0], sets):    # one row, then a batch
+            batch = [params] if isinstance(params, ParameterSet) else params
+            rhs = grey_rhs(spec, [reduced_to_grey(p, spec) for p in batch])
+            states = solve_reduced(spec, params, times, substeps=4).states
+            states = states.reshape(times.size, len(batch), 2 * d)
+            assert np.all(np.isfinite(states))
+            for k in range(times.size):
+                assert np.array_equal(states[k, :, :d], rhs(times[k], states[k, :, d:]))
+
+    def test_row_whose_x_fails_the_guard_is_flagged_at_sample_0(self):
+        spec = verhulst_spec()
+        times = np.linspace(0.0, 1.0, 6)
+        sets = [verhulst_reduced_truth(),
+                ParameterSet([[A]], [[B]], [ETA], eta_x=[2e12], form=REDUCED_FORM),
+                ParameterSet([[0.5]], [[-0.2]], [1.0], form=REDUCED_FORM)]
+        traj = solve_reduced(spec, sets, times, substeps=4)
+        assert traj.row_blowup_index.tolist() == [-1, 0, -1]
+        assert np.all(np.isnan(traj.states[:, 1]))
+        for i in (0, 2):
+            alone = solve_reduced(spec, sets[i], times, substeps=4)
+            assert np.all(np.isfinite(alone.states))
+            assert np.array_equal(traj.states[:, i], alone.states)
+        # the power route reads its rates under the same guard
+        fits = [power_fit(1.0, 0.5, 0.5, 1.0, 2e12, times),
+                power_fit(1.0, 0.5, 0.5, 1.0, 1.0, times)]
+        flagged, runs = forecast_fits(fits, 1)
+        assert flagged.blowup_index == 0 and np.all(np.isnan(flagged.fitted_and_forecast))
+        assert not runs.blown_up
+        assert_same_forecast(runs, forecast_fit(fits[1], 1))
+
+    @given(a=st.floats(0.2, 2.0), capacity=st.floats(1.0, 10.0), start=st.floats(0.05, 0.9))
+    def test_x_matches_the_logistic_closed_form(self, a, capacity, start):
+        # dy/dt = a y + b y^2 from eta, with x(t1) = a eta + b eta^2 so that beta = 0
+        spec = verhulst_spec()
+        b, eta = -a / capacity, start * capacity
+        truth = grey_to_reduced(ParameterSet([[a]], [[b]], [eta], form=GREY_FORM), spec)
+        times = np.linspace(0.0, 6.0, 31)
+        x = solve_reduced(spec, truth, times).states[:, 0]
+        exact = verhulst_closed_form_x(a, b, eta, times)
+        # x decays to 0 near the carrying capacity, so the error is measured
+        # against the largest |x| rather than sample by sample
+        assert np.max(np.abs(x - exact)) <= ERROR_TARGET * np.max(np.abs(exact))
 
 
 class TestClosedForms:

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,8 @@ class TestMonteCarlo:
         config = small_config()
         assert config.replications <= simulate.CHUNK_SIZE
         serial = run_monte_carlo(config)
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        # ``run_monte_carlo`` imports the pool class only where it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert run_monte_carlo(config, workers=4).records == serial.records
 
     @pytest.mark.parametrize("scenario", ["verhulst", "lv"])
