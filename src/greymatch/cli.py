@@ -192,6 +192,8 @@ def write_manifest(out_dir: Path, command: str, config: dict,
             "path": str(input_path), "sha256": _sha256(input_path),
         },
         "outputs": outputs,
+        "numpy": {"version": np.__version__,    # outputs repeat per build and CPU dispatch
+                  "simd": np.show_config(mode="dicts")["SIMD Extensions"]},
         "wall_clock_seconds": round(time.monotonic() - started, 3),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }

@@ -7,9 +7,8 @@ Monte Carlo workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -142,10 +141,13 @@ class NonlinearBasis:
     The polynomial kinds also give their analytic Jacobian, which the
     one-step estimator's change of basis reads at the initial value; the
     power kind has none.  Both methods take a batch of B states as a (B, d)
-    array.  They are built from elementwise products only: integer powers by
-    repeated multiplication, with no numpy ``power``, no matrix product and
-    no scattered accumulation, so row i of the result depends on state i
-    alone, bit for bit, whatever the other rows are.
+    array.  They are built from elementwise operations only: integer powers
+    by repeated multiplication, the power kind's by numpy ``power`` over a
+    full exponent column, with no matrix product and no scattered
+    accumulation, so row i of the result depends on state i alone, bit for
+    bit, whatever the other rows are.  A monomial that overflows is inf or
+    NaN; callers hold the ``np.errstate`` that keeps that quiet, as RK4,
+    ``ModelSpec.design`` and ``evaluate_basis`` do.
     """
 
     dimension: int
@@ -209,11 +211,24 @@ class PolynomialUnivariate(NonlinearBasis):
 class PowerUnivariate(NonlinearBasis):
     """N(y) = [y^gamma] for a scalar state; y must be positive unless gamma is integer.
 
-    The power is Python's ``float ** float`` (libm ``pow``), taken row by row,
-    which numpy's vectorised power does not always reproduce.
+    ``gamma`` is one exponent for every state, or a tuple of one per row of
+    the batches it evaluates, as the field of a batch of fits of several
+    exponents has.  The power is numpy's, over a full exponent column: a
+    scalar exponent broadcast over a batch takes numpy's shortcuts for some
+    exponents (2, 0.5, -1, ...), whose bits differ from the same row alone.
+    An overflow or a zero to a negative power is inf, which a trajectory
+    flags; callers hold the ``np.errstate`` that keeps it quiet.
     """
 
-    gamma: float
+    gamma: Union[float, Tuple[float, ...]]
+
+    def __post_init__(self):
+        gammas = np.array(self.gamma, dtype=float, ndmin=1)
+        # a state is outside the domain where it is <= its row's floor: 0 under
+        # a fractional exponent, NaN (which nothing is below) under an integer one
+        floor = [np.nan if g.is_integer() else 0.0 for g in gammas.tolist()]
+        object.__setattr__(self, "_exponents", gammas[:, None])
+        object.__setattr__(self, "_floor", np.array(floor)[:, None])
 
     @property
     def dimension(self) -> int:
@@ -225,26 +240,18 @@ class PowerUnivariate(NonlinearBasis):
 
     @property
     def positive_only(self) -> bool:
-        return not float(self.gamma).is_integer()
-
-    def _check_domain(self, v: float):
-        if v <= 0.0 and not float(self.gamma).is_integer():
-            raise DomainError(
-                f"power basis with gamma={self.gamma} requires a positive argument, got {v}"
-            )
+        return not np.isnan(self._floor).all()
 
     def evaluate(self, y):
-        # v ** gamma of each state of the (B, 1) batch, checked against the
-        # domain first; NaN where Python refuses (overflow, zero to a negative
-        # power), so a trajectory flags the row instead of raising
-        powers = []
-        for v in y.ravel().tolist():
-            self._check_domain(v)
-            try:
-                powers.append(v ** self.gamma)
-            except (OverflowError, ZeroDivisionError):
-                powers.append(math.nan)
-        return np.array(powers).reshape(-1, 1)
+        exponents, floor = self._exponents, self._floor
+        if exponents.shape[0] == 1 < y.shape[0]:    # one exponent for every row
+            exponents, floor = np.full(y.shape, exponents[0, 0]), floor[0, 0]
+        outside = y <= floor
+        if np.count_nonzero(outside):    # cheaper than ``any`` on a few rows
+            i = int(outside.argmax())
+            raise DomainError(f"power basis with gamma={float(exponents[i, 0])} requires "
+                              f"a positive argument, got {float(y[i, 0])}")
+        return np.power(y, exponents)
 
 
 @dataclass(frozen=True)
@@ -302,7 +309,8 @@ def evaluate_basis(basis: Optional[NonlinearBasis], y) -> np.ndarray:
         raise ValueError(f"state has shape {y.shape}, basis expects {basis.dimension} values")
     if not np.all(np.isfinite(rows)):
         raise ValueError("state must be finite")
-    values = basis.evaluate(rows)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = basis.evaluate(rows)
     return values if y.ndim == 2 else values[0]
 
 
@@ -394,8 +402,7 @@ class ModelSpec:
         Monomials that overflow are left as inf or NaN, without a warning.
         """
         if nonlinear is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                nonlinear = evaluate_basis(self.basis, states)
+            nonlinear = evaluate_basis(self.basis, states)
         return self._columns(states, nonlinear, np.ones((states.shape[0], 1)))
 
     def unpack(self, coef: np.ndarray):

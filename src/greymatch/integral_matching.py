@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     ConfigError,
-    DomainError,
     FitResult,
     Forecast,
     GreyModelError,
@@ -178,18 +177,13 @@ def fit_matching_power(ts: TimeSeries, spec: ModelSpec) -> FitResult:
     if not isinstance(spec.basis, PowerUnivariate):
         raise ConfigError("the power fallback needs a power-basis spec")
     spec.check_series(ts)
-    gamma = spec.basis.gamma
-    x1 = float(ts.values[0, 0])
+    x1 = ts.values[:1]
     xtil = trapezoid_cumulative(ts)[1:]
-    shifted = x1 + xtil
-    if not float(gamma).is_integer() and (x1 <= 0.0 or np.any(shifted <= 0.0)):
-        raise DomainError(
-            f"power basis with gamma={gamma} needs x(t1) + x~ > 0 everywhere"
-        )
     layout = _matching_layout(spec)
     with np.errstate(all="ignore"):
-        # numpy's power overflows to inf, which least_squares_solve reports
-        design = layout.design(xtil, shifted ** gamma - np.float64(x1) ** gamma)
+        # the basis raises DomainError outside its domain; a power that
+        # overflows is inf, which least_squares_solve reports
+        design = layout.design(xtil, spec.basis.evaluate(x1 + xtil) - spec.basis.evaluate(x1))
     targets = ts.values[1:]
     coef, condition = least_squares_solve(design, targets)
     theta_L, theta_N, eta = layout.unpack(coef)

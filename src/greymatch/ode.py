@@ -11,16 +11,16 @@ here because the Monte Carlo harness must be exactly reproducible.  Divergence
 is detected with an overflow guard and reported via a flag, never an
 unhandled NaN.  It also integrates a batch of independent states in one pass,
 flagging each row on its own.  The model field is written over such a batch
-of fits that share a spec, with explicit sums and no matrix products, so a
-fit forecast alone is the one-row case of a batch and equals its row there
-bit for bit.
+of fits that share a spec, bar a power basis' exponent, which that basis
+holds per row, with explicit sums and no matrix products, so a fit forecast
+alone is the one-row case of a batch and equals its row there bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .core import (
     ModelSpec,
     ParameterSet,
     PowerUnivariate,
-    REDUCED_FORM,
     _readonly,
     reduced_to_grey,
 )
@@ -110,15 +109,18 @@ def default_substeps(times) -> int:
     return max(1, int(math.ceil(count)))
 
 
-def _drop_bad_rows(state: np.ndarray, first_bad: np.ndarray, k: int) -> bool:
+def _drop_bad_rows(state: np.ndarray, first_bad: np.ndarray, k: int):
     """Set the rows of ``state`` that fail the guard to NaN, record ``k`` as the
-    first bad sample of those newly failed, and say whether any row still runs."""
+    first bad sample of those newly failed, and return an index of the rows
+    still running: all of ``state`` while none has failed, None once all have."""
     rows = np.atleast_2d(state)    # a view, so the NaNs land in ``state``
     # NaN and +-inf fail the comparison, so non-finite rows are bad too
     bad = ~(np.max(np.abs(rows), axis=1) < OVERFLOW_GUARD)
     first_bad[bad & (first_bad < 0)] = k
     rows[bad] = np.nan
-    return not bad.all()
+    if bad.all():
+        return None
+    return np.flatnonzero(~bad) if bad.any() else slice(None)
 
 
 def rk4_integrate(rhs: VectorField, initial, times,
@@ -147,12 +149,12 @@ def rk4_integrate(rhs: VectorField, initial, times,
         raise ValueError("initial must be one state (m,) or a batch of states (B, m)")
     out = np.full((times.size,) + state.shape, np.nan)
     first_bad = np.full(state.shape[0] if state.ndim == 2 else 1, -1)
-    running = _drop_bad_rows(state, first_bad, 0)
+    live = _drop_bad_rows(state, first_bad, 0)
     out[0] = state
     sixth = 1.0 / 6.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, times.size):
-            if not running:
+            if live is None:
                 break
             dt = (times[k] - times[k - 1]) / substeps
             half = 0.5 * dt
@@ -164,11 +166,13 @@ def rk4_integrate(rhs: VectorField, initial, times,
                 k4 = rhs(t + dt, state + dt * k3)
                 state = state + dt * sixth * (k1 + 2.0 * (k2 + k3) + k4)
                 t += dt
-                # one dot product per substep; rows are looked at only after it fails
-                if not np.vdot(state, state) < GUARD_SQ \
-                        and not _drop_bad_rows(state, first_bad, k):
-                    running = False
-                    break
+                # one dot product over the live rows per substep; rows are looked
+                # at one by one only after it fails
+                running = state[live]
+                if not np.vdot(running, running) < GUARD_SQ:
+                    live = _drop_bad_rows(state, first_bad, k)
+                    if live is None:
+                        break
             out[k] = state
     out.setflags(write=False)    # a fresh array Trajectory can keep without a copy
     return Trajectory(times, out, first_bad)
@@ -302,53 +306,10 @@ def extend_times(times: np.ndarray, horizon: int,
     return grid
 
 
-def power_batch_rhs(fits: Sequence[FitResult]) -> Tuple[VectorField, np.ndarray, np.ndarray]:
-    """Cumulative field of B reduced power-family fits on a (B, 1) state y, their
-    (B, 1) initial states eta, and a mask of the rows that left their domain.
-
-    Row i is the field of fit i's cumulative model (``reduced_to_grey``),
-    a y + b y^gamma + beta, evaluated with the float operations of
-    ``grey_rhs`` in the same order, so each row is bitwise its fit through
-    ``solve_reduced``.  The rows are evaluated one by one because the power
-    must stay Python's ``float ** float`` (libm ``pow``, as in the scalar
-    basis), which numpy's vectorised power does not always reproduce.
-
-    A row whose eta or y leaves y > 0 under a non-integer exponent is marked
-    in the mask and gets a NaN derivative instead of an error, as does one
-    whose power Python refuses (overflow, zero to a negative power).
-    """
-    rows = []
-    left_domain = np.zeros(len(fits), dtype=bool)
-    for i, fit in enumerate(fits):
-        try:
-            beta = reduced_to_grey(fit.params, fit.spec).beta[0]
-        except DomainError:
-            left_domain[i], beta = True, math.nan
-        basis = fit.spec.basis
-        rows.append((float(fit.params.theta_L[0, 0]), float(fit.params.theta_N[0, 0]),
-                     basis.gamma, float(beta), basis.positive_only))
-
-    def rhs(t, y):
-        dy = []
-        for i, (v, (a, b, g, beta, fractional)) in enumerate(zip(y.ravel().tolist(), rows)):
-            if fractional and v <= 0.0:
-                left_domain[i] = True
-                power = math.nan
-            else:
-                try:
-                    power = v ** g
-                except (OverflowError, ZeroDivisionError):
-                    power = math.nan
-            dy.append(a * v + b * power + beta)
-        return np.array(dy).reshape(-1, 1)
-
-    return rhs, np.array([fit.params.eta for fit in fits]), left_domain
-
-
 def _route(fit: FitResult):
-    """"power" for a reduced power-family fit, otherwise the fit's spec and form."""
-    if fit.params.form == REDUCED_FORM and isinstance(fit.spec.basis, PowerUnivariate):
-        return "power"
+    """The fit's spec, with a power basis' exponent left out, and its form."""
+    if isinstance(fit.spec.basis, PowerUnivariate):
+        return replace(fit.spec, basis=PowerUnivariate(())), fit.params.form
     return fit.spec, fit.params.form
 
 
@@ -357,10 +318,11 @@ def forecast_fits(fits: Sequence[FitResult], horizon: int,
     """Forecast fits of one route on their shared grid, extended by ``horizon``
     stamps, in one RK4 pass.
 
-    A route is either one spec and one form (through ``solve_grey`` or
-    ``solve_reduced``) or reduced power-family fits of any exponents (through
-    ``power_batch_rhs``); fits of mixed routes or grids are a ``ConfigError``.
-    Each forecast is bitwise the one its fit gets alone, so the result depends
+    A route is one spec, with a power basis' exponent left out, and one form;
+    fits of mixed routes or grids are a ``ConfigError``.  Each reduced fit is
+    converted with its own spec (``reduced_to_grey``), and one ``grey_rhs``
+    integrates the batch, its power basis holding each row's exponent.  Each
+    forecast is bitwise the one its fit gets alone, so the result depends
     neither on the batch's size nor on its other members.
 
     Returns the forecasts in input order.  A fit whose trajectory left its
@@ -374,28 +336,28 @@ def forecast_fits(fits: Sequence[FitResult], horizon: int,
         if not np.array_equal(fit.times, fits[0].times):
             raise ConfigError("the batched forecast needs fits on one shared grid")
         if _route(fit) != route:
-            raise ConfigError("the batched forecast needs fits of one route: one spec "
-                              "and one form, or reduced power-family fits")
+            raise ConfigError("the batched forecast needs fits of one route: one spec, "
+                              "bar a power basis' exponent, and one form")
     grid = extend_times(fits[0].times, horizon, future_times)
-    spec, params = fits[0].spec, [fit.params for fit in fits]
-    grey = params[0].form == GREY_FORM
-    left_domain = [False] * len(fits)
+    spec, grey = route[0], route[1] == GREY_FORM
+    if isinstance(spec.basis, PowerUnivariate):
+        spec = replace(spec, basis=PowerUnivariate(tuple(fit.spec.basis.gamma for fit in fits)))
     try:
-        if route == "power":
-            rhs, etas, left_domain = power_batch_rhs(fits)
-            traj = _with_rates(rhs, rk4_integrate(rhs, etas, grid))
-        else:
-            traj = (solve_grey if grey else solve_reduced)(spec, params, grid)
+        batch = [fit.params if grey else reduced_to_grey(fit.params, fit.spec) for fit in fits]
+        rhs = grey_rhs(spec, batch)
+        traj = rk4_integrate(rhs, [p.eta for p in batch], grid)
+        if not grey:
+            traj = _with_rates(rhs, traj)
     except DomainError:
         # a basis raises for the whole batch; each row alone shows which left its domain
         if len(fits) == 1:
             return [None]
         return [forecast_fits([fit], horizon, future_times)[0] for fit in fits]
-    forecasts: List[Optional[Forecast]] = []
-    for i, (k, left) in enumerate(zip(traj.row_blowup_index.tolist(), left_domain)):
+    forecasts = []
+    for i, k in enumerate(traj.row_blowup_index.tolist()):
         states = traj.states[:, i]
         x = difference_cumulative(grid, states) if grey else states[:, :spec.dimension]
-        forecasts.append(None if left else Forecast(grid, x, k if k >= 0 else None))
+        forecasts.append(Forecast(grid, x, k if k >= 0 else None))
     return forecasts
 
 

@@ -111,6 +111,14 @@ class TestFitCommand:
         assert manifest["command"] == "fit"
         assert manifest["input"]["sha256"]
 
+    def test_manifest_records_the_numpy_build(self, verhulst_csv, tmp_path):
+        # outputs repeat byte for byte on one numpy build and one CPU dispatch
+        out = tmp_path / "out"
+        assert main(["fit", verhulst_csv, "--model", "igvm", "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["numpy"]["version"] == np.__version__
+        assert manifest["numpy"]["simd"] == np.show_config(mode="dicts")["SIMD Extensions"]
+
     def test_grey_fit(self, verhulst_csv, tmp_path):
         out = tmp_path / "grey"
         code = main(["fit", verhulst_csv, "--model", "igvm", "--method", "grey",

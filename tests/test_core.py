@@ -110,7 +110,8 @@ class TestBases:
     def test_batch_rows_equal_one_row_calls(self, data):
         basis = data.draw(st.sampled_from([
             PolynomialUnivariate(2), PolynomialUnivariate(5), PowerUnivariate(0.63),
-            PowerUnivariate(2.0), QuadraticMultivariate(2), QuadraticMultivariate(3)]))
+            PowerUnivariate(2.0), PowerUnivariate(0.5), PowerUnivariate(-1.0),
+            QuadraticMultivariate(2), QuadraticMultivariate(3)]))
         low = 1e-3 if isinstance(basis, PowerUnivariate) else -1e3
         y = np.array(data.draw(st.lists(
             st.lists(st.floats(low, 1e3), min_size=basis.dimension,
@@ -135,13 +136,29 @@ class TestBases:
             assert list(values[row]) == [v * v, v * v * v, v * v * v * v]
             assert list(jac[row, :, 0]) == [2.0 * v, 3 * (v * v), 4 * (v * v * v)]
 
-    def test_power_python_refuses_is_nan(self):
-        # overflow and zero to a negative power flag the row; other rows keep their bits
+    def test_power_overflow_is_inf(self):
+        # overflow and zero to a negative power are inf, which RK4 flags; the other
+        # rows keep their exact values.  RK4 holds the errstate, as here
         y = np.array([[1e200], [2.0], [0.0]])
-        values = PowerUnivariate(3.0).evaluate(y)
-        assert np.isnan(values[0, 0]) and list(values[1:, 0]) == [8.0, 0.0]
-        values = PowerUnivariate(-1.0).evaluate(y)
-        assert np.isnan(values[2, 0]) and list(values[:2, 0]) == [1e-200, 0.5]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cubes = PowerUnivariate(3.0).evaluate(y)
+            reciprocals = PowerUnivariate(-1.0).evaluate(y)
+        assert list(cubes[:, 0]) == [np.inf, 8.0, 0.0]
+        assert list(reciprocals[:, 0]) == [1e-200, 0.5, np.inf]
+
+    def test_power_rows_take_their_own_exponents(self):
+        # each row is the same row under a one-exponent basis, and only the rows
+        # of fractional exponents are held to the domain
+        gammas = (2.0, 0.5, -1.0, 0.63, 3.0)
+        y = np.array([[-349.8738278690784], [2.0], [0.3], [1001.65], [-1.5]])
+        values = PowerUnivariate(gammas).evaluate(y)
+        for i, gamma in enumerate(gammas):
+            assert values[i, 0] == PowerUnivariate(gamma).evaluate(y[i:i + 1])[0, 0]
+        assert PowerUnivariate(gammas).positive_only
+        assert not PowerUnivariate((2.0, 3.0)).positive_only
+        with pytest.raises(DomainError, match=r"^power basis with gamma=0.5 requires a "
+                                              r"positive argument, got -2.0$"):
+            PowerUnivariate(gammas).evaluate(-np.abs(y))
 
     def test_power_domain_checked_before_the_power(self):
         # the row that would overflow does not hide the row outside the domain

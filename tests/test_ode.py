@@ -165,6 +165,23 @@ class TestRK4:
         assert not np.vdot(last, last) < ode.GUARD_SQ
         assert np.max(np.abs(last)) < ode.OVERFLOW_GUARD
 
+    def test_failed_rows_leave_the_prefilter(self, monkeypatch):
+        # once a row has failed, the dot product covers the live rows alone, so the
+        # rows are looked at one by one only at the start and where one fails
+        drop, calls = ode._drop_bad_rows, []
+
+        def counted(state, first_bad, k):
+            calls.append(k)
+            return drop(state, first_bad, k)
+
+        monkeypatch.setattr(ode, "_drop_bad_rows", counted)
+        rates = np.array([[40.0], [-0.5]])    # row 0 passes 1e12 inside the first interval
+        batch = rk4_integrate(lambda t, y: rates * y, [[1.0], [1.0]], np.arange(6.0), 8)
+        assert calls == [0, 1]
+        assert list(batch.row_blowup_index) == [1, -1]
+        alone = rk4_integrate(lambda t, y: rates[1] * y, [1.0], np.arange(6.0), 8)
+        assert np.array_equal(batch.states[:, 1], alone.states)
+
 
 def sequential_combination(coef, blocks):
     """sum_c coef[c] * z_c, one column z_c at a time, strictly left to right."""
@@ -234,14 +251,14 @@ class TestDefaultStepErrorTarget:
         # IGVM by matching, grey under fix_first and fix_last, and INGBM at the
         # exponent the benchmark search selects, each forecast 7 years ahead
         # one batch per route
-        routes = {"matching": [], "grey": [], "power": []}
+        routes = {"matching": [], "grey": [], "ingbm": []}
         for dataset, gamma in ((sewage_discharge, 1.0), (water_use, 0.63)):
             train, _ = train_test_split(dataset(), TRAIN_SIZE)
             routes["matching"].append(fit_matching(train, verhulst_spec()))
             for strategy in (FIX_FIRST, FIX_LAST):
                 config = GreyFitConfig(initial_value_strategy=strategy)
                 routes["grey"].append(fit_grey(train, verhulst_spec(), config))
-            routes["power"].append(fit_matching_power(train, power_family_spec("ingbm", gamma)))
+            routes["ingbm"].append(fit_matching_power(train, power_family_spec("ingbm", gamma)))
         assert default_substeps(extend_times(routes["grey"][0].times, 7)) == 32
         forecasts = {route: forecast_fits(fits, 7) for route, fits in routes.items()}
         monkeypatch.setattr(ode, "DEFAULT_MAX_STEP", ode.DEFAULT_MAX_STEP / REFERENCE_FACTOR)
@@ -476,7 +493,7 @@ def row_index(traj_or_forecast):
 pair_rows = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0), st.floats(-2.0, 2.0),
                       st.floats(-3.0, 3.0), st.floats(-1.0, 3.0))
 power_rows = st.tuples(st.floats(-80.0, 80.0), st.floats(-5.0, 5.0),
-                       st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0)),
+                       st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(0.0, 3.0)),
                        st.floats(-0.5, 3.0), st.floats(-3.0, 3.0))
 
 
@@ -659,6 +676,30 @@ class TestBatched:
         assert forecast_fits([fits[1]], 1) == [None]
         for i in (0, 2):
             assert_same_forecast(forecasts[i], forecast_fit(fits[i], 1))
+
+    def test_reduced_power_batch_is_one_pass_with_a_domain_per_row(self, monkeypatch):
+        # y of the integer-exponent row goes negative, which its domain allows,
+        # while the fractional rows stay positive: the batch needs no re-run
+        times = 0.05 * np.arange(11.0)
+        fits = [power_fit(1.0, 0.5, 2.0, 0.1, -3.0, times),
+                power_fit(1.0, 0.5, 0.5, 1.0, 1.0, times),
+                power_fit(-0.4, 0.3, 0.63, 2.0, 0.5, times),
+                power_fit(1.0, 0.5, 1.5, 1.0, 1.0, times)]
+        grid = extend_times(times, 2)
+        assert solve_reduced(fits[0].spec, fits[0].params, grid).states[:, 1].min() < 0.0
+        integrate, passes = ode.rk4_integrate, []
+
+        def counted(*args):
+            passes.append(len(args[1]))
+            return integrate(*args)
+
+        monkeypatch.setattr(ode, "rk4_integrate", counted)
+        forecasts = forecast_fits(fits, 2)
+        assert passes == [len(fits)]
+        monkeypatch.undo()
+        for fit, forecast in zip(fits, forecasts):
+            assert not forecast.blown_up
+            assert_row_is_its_fit_alone(forecast, fit, 2)
 
     @pytest.mark.parametrize("form", [GREY_FORM, REDUCED_FORM])
     def test_forecast_fit_raises_a_typed_error(self, form):
