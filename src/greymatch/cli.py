@@ -333,8 +333,12 @@ def _resolve_spec(model: str, gamma: Optional[float]) -> ModelSpec:
             degree = int(model.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad polynomial degree in --model {model!r}") from exc
+        if degree < 2:
+            raise ConfigError(f"--model {model!r} needs a degree of at least 2")
         return polynomial_spec(degree)
     if model in (FAMILY_INGM, FAMILY_INGBM):
+        if not math.isfinite(gamma):
+            raise ConfigError(f"--gamma must be a finite number, got {gamma}")
         return power_family_spec(model, gamma)
     raise ConfigError(f"unknown model {model!r}")
 

@@ -213,8 +213,10 @@ def gamma_line_search(ts: TimeSeries, family: str = FAMILY_INGBM,
     the fitted values alone without one.
     """
     lo, hi = float(search_range[0]), float(search_range[1])
-    if not hi > lo or step <= 0.0:
-        raise ConfigError("need an increasing search range and a positive step")
+    # a bound that is not finite makes (hi - lo) / step inf or NaN
+    if not (hi > lo and 0.0 < step < math.inf and (hi - lo) / step < np.iinfo(np.intp).max):
+        raise ConfigError("need a finite increasing search range and a finite positive step "
+                          "giving fewer candidates than the largest array index")
     if split is None:
         fit_series, horizon, future, score_of = ts, 0, None, rmse
     else:

@@ -189,41 +189,34 @@ def _coefficients(batch: Sequence[ParameterSet]) -> np.ndarray:
     return np.ascontiguousarray(coef.transpose(2, 0, 1))
 
 
-def _combine(coef: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
-    """sum_c coef[c] * z_c over the columns z_c of the (B, .) blocks, summed in order.
-
-    An explicit elementwise sum rather than a matrix product, whose rounding
-    depends on the shapes involved: row i reads row i of the blocks alone.
-    Blocks of one column each (the scalar models) are summed term by term,
-    which is the cheaper route for so few terms; wider ones as one broadcast
-    product whose terms ``accumulate`` adds strictly left to right (a
-    ``sum`` would add some of them pairwise).
-    """
-    if len(coef) == len(blocks):    # one column per block
-        out = coef[0] * blocks[0]
-        for c in range(1, len(blocks)):
-            out = out + coef[c] * blocks[c]
-        return out
-    columns = np.concatenate(blocks, axis=1).T[:, :, None]    # (C, B, 1)
-    return np.add.accumulate(coef * columns, axis=0)[-1]
-
-
 def grey_rhs(spec: ModelSpec, params) -> VectorField:
     """Vector field of the cumulative-state model dy/dt = theta_L y + theta_N N(y) + beta.
 
     ``params`` is one parameter set or a sequence of B sets sharing ``spec``;
     the field maps a (B, d) batch of states, row i under set i, to its
-    (B, d) derivatives, each an explicit sum over the d + p columns.
+    (B, d) derivatives.  Each is an explicit sum over the d + p columns, then
+    beta, added strictly left to right in a form the spec fixes here: term by
+    term for a scalar state with at most one basis column, else one broadcast
+    product that ``accumulate`` sums (a ``sum`` would add some terms pairwise).
+    Neither is a matrix product, whose rounding depends on the shapes, so row
+    i reads row i of the states alone.
     """
     batch = _batch(params)
     coef = _coefficients(batch)
     beta = np.stack([p.beta_or_zero() for p in batch])
     basis = spec.basis
+    if spec.dimension == 1 and spec.p <= 1:
+        c = list(coef)    # (B, 1) views of the columns, split once
+        if basis is None:
+            return lambda t, y: c[0] * y + beta
+        evaluate = basis.evaluate
+        return lambda t, y: c[0] * y + c[1] * evaluate(y) + beta
     if basis is None:
-        return lambda t, y: _combine(coef, y) + beta
+        return lambda t, y: np.add.accumulate(coef * y.T[:, :, None], axis=0)[-1] + beta
 
     def rhs(t, y):
-        return _combine(coef, y, basis.evaluate(y)) + beta
+        columns = np.concatenate((y, basis.evaluate(y)), axis=1).T[:, :, None]    # (C, B, 1)
+        return np.add.accumulate(coef * columns, axis=0)[-1] + beta
 
     return rhs
 

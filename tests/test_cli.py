@@ -277,6 +277,23 @@ class TestFitCommand:
         assert main(["fit", sewage_csv, "--model", "igvm", "--lambda", "0.3",
                      "--out-dir", out]) == 6
 
+    @pytest.mark.parametrize("args, named", [
+        (["--model", "poly:1"], "--model 'poly:1'"),
+        (["--model", "poly:0"], "--model 'poly:0'"),
+        (["--model", "ingbm", "--gamma", "nan"], "--gamma"),
+        (["--model", "ingbm", "--gamma-search", "0,2,nan"], "finite"),
+        (["--model", "ingbm", "--gamma-search", "0,inf,0.5"], "finite"),
+        (["--model", "ingbm", "--gamma-search", "0,2,1e-300"], "candidates"),
+    ], ids=["poly1", "poly0", "gamma_nan", "step_nan", "range_inf", "step_tiny"])
+    def test_unusable_degree_or_exponent_exit_6(self, sewage_csv, tmp_path, capsys,
+                                                  args, named):
+        out = tmp_path / "o6"
+        assert main(["fit", sewage_csv, *args, "--out-dir", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        error = json.loads((out / "fit.json").read_text())["error"]
+        assert error["category"] == "ConfigError" and named in error["message"]
+
     @pytest.mark.parametrize("method", ["grey", "matching"])
     def test_zero_observation_exit_6(self, tmp_path, capsys, method):
         path = tmp_path / "zero.csv"

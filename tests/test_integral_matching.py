@@ -438,6 +438,20 @@ class TestGammaSearch:
         with pytest.raises(ConfigError):
             gamma_line_search(ts, "ingbm", split=13)  # only 2 test points
 
+    @pytest.mark.parametrize("search_range, step, message", [
+        ((0.0, 2.0), np.nan, "finite"),
+        ((0.0, 2.0), np.inf, "finite"),
+        ((np.nan, 2.0), 0.5, "finite"),
+        ((0.0, np.inf), 0.5, "finite"),
+        ((-np.inf, 2.0), 0.5, "finite"),
+        ((0.0, 2.0), 1e-300, "candidates"),
+    ], ids=["step_nan", "step_inf", "lo_nan", "hi_inf", "lo_inf", "step_tiny"])
+    def test_unusable_grid_is_a_config_error(self, search_range, step, message):
+        # at or past ScenarioConfig's intp bound the grid would never finish
+        with pytest.raises(ConfigError, match=message):
+            gamma_line_search(sewage_discharge(), "ingbm", search_range, step,
+                              split=TRAIN_SIZE)
+
     @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], np.ones((6, 2))],
                              ids=["too_short", "two_columns"])
     def test_unusable_series_is_a_config_error(self, values):

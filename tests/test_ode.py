@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from greymatch import (
     BlowUpError,
@@ -16,6 +16,8 @@ from greymatch import (
     METHOD_INTEGRAL_MATCHING_POWER,
     ModelSpec,
     ParameterSet,
+    PowerUnivariate,
+    QuadraticMultivariate,
     REDUCED_FORM,
     TimeSeries,
     fit_grey,
@@ -44,6 +46,7 @@ from greymatch.datasets import TRAIN_SIZE, sewage_discharge, water_use
 from greymatch.integral_matching import power_family_spec
 from greymatch.metrics import train_test_split
 from greymatch.ode import default_substeps, extend_times
+from greymatch.transform import difference_cumulative
 
 A, B, ETA = 1.2, -0.5, 0.4
 
@@ -193,35 +196,52 @@ def sequential_combination(coef, blocks):
 
 
 class TestCombine:
-    @staticmethod
-    def assert_summed_in_order(coef, blocks):
-        combined = ode._combine(coef, *blocks)
-        assert np.array_equal(combined, sequential_combination(coef, blocks))
-        for i in range(coef.shape[1]):
-            alone = ode._combine(coef[:, i:i + 1], *(block[i:i + 1] for block in blocks))
-            assert np.array_equal(alone, combined[i:i + 1])
+    """``grey_rhs`` sums its columns strictly left to right, row by row, in the
+    form its spec fixes: term by term for a scalar state with at most one
+    basis column, by ``accumulate`` over wider blocks."""
 
-    @given(rows=st.integers(1, 70), d=st.sampled_from([1, 2, 3]),
-           widths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_sums_in_order_and_row_by_row(self, rows, d, widths, seed):
+    @staticmethod
+    def assert_summed_in_order(spec, batch, y):
+        field = grey_rhs(spec, batch)(0.0, y)
+        coef = np.stack([np.hstack([p.theta_L, p.theta_N]) for p in batch]).transpose(2, 0, 1)
+        blocks = [y] if spec.basis is None else [y, spec.basis.evaluate(y)]
+        beta = np.stack([p.beta_or_zero() for p in batch])
+        assert np.array_equal(field, sequential_combination(coef, blocks) + beta)
+        for i, params in enumerate(batch):
+            assert np.array_equal(grey_rhs(spec, params)(0.0, y[i:i + 1]), field[i:i + 1])
+        return field
+
+    @given(rows=st.integers(1, 70),
+           spec=st.sampled_from(
+               [ModelSpec(1, None)]
+               + [power_spec(gamma) for gamma in (0.5, 0.63, 2.0, -1.0)]
+               + [polynomial_spec(degree) for degree in range(2, 6)]
+               + [ModelSpec(d, basis) for d in (2, 3) for basis in (None, QuadraticMultivariate(d))]),
+           constant=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_sums_in_order_and_row_by_row(self, rows, spec, constant, seed):
         rng = np.random.default_rng(seed)
 
         def draw(*shape):
             # signs and magnitudes over many binades, so the order of the sum shows
             return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
 
-        coef = draw(sum(widths), rows, d)
-        self.assert_summed_in_order(coef, [draw(rows, width) for width in widths])
+        d = spec.dimension
+        spec = ModelSpec(d, spec.basis, include_constant=constant)
+        batch = [ParameterSet(draw(d, d), draw(d, spec.p), np.ones(d),
+                              beta=draw(d) if constant else None, form=GREY_FORM)
+                 for _ in range(rows)]
+        y = draw(rows, d)
+        self.assert_summed_in_order(spec, batch,
+                                    np.abs(y) if isinstance(spec.basis, PowerUnivariate) else y)
 
     def test_eight_columns_of_one_row(self):
-        # here ``np.add.reduce(axis=0)`` adds pairwise: ((1 + 0) + (u + u)) = 1 + 2u,
+        # a contiguous ``np.add.reduce`` adds these pairwise: ((1 + 0) + (u + u)) = 1 + 2u,
         # where the sum in order rounds 1 + u back to 1 twice (u = 2^-53)
         u = 2.0 ** -53
-        coef = np.ones((8, 1, 1))
-        block = np.array([[1.0, 0.0, u, u, 0.0, 0.0, 0.0, 0.0]])
-        self.assert_summed_in_order(coef, [block])
-        assert ode._combine(coef, block)[0, 0] == 1.0
+        y = np.array([[1.0, 0.0, u, u, 0.0, 0.0, 0.0, 0.0]])
+        params = ParameterSet(np.ones((8, 8)), np.zeros((8, 0)), np.ones(8), form=GREY_FORM)
+        field = self.assert_summed_in_order(ModelSpec(8, None), [params], y)
+        assert np.all(field == 1.0)
 
 
 ERROR_TARGET = 1e-7
@@ -413,6 +433,75 @@ class TestClosedForms:
             verhulst_closed_form_y(0.0, B, ETA, 1.0)
         with pytest.raises(ValueError):
             verhulst_closed_form_x(A, B, 0.0, 1.0)
+
+
+def gm11_closed_form(a, beta, eta, t):
+    """y and x = dy/dt of GM(1,1), dy/dt = a y + beta with y(t_1) = eta."""
+    tau = t - t[0]
+    return eta * np.exp(a * tau) + beta * np.expm1(a * tau) / a, (a * eta + beta) * np.exp(a * tau)
+
+
+def bernoulli_closed_form(a, b, gamma, eta, t):
+    """y and x = dy/dt of dy/dt = a y + b y^gamma with y(t_1) = eta (INGBM in grey
+    form): u = y^(1 - gamma) solves the linear du/dt = (1 - gamma)(a u + b).
+    u is monotone, and y is NaN from where u reaches zero: y hits zero there
+    for gamma < 1 and has a pole for gamma > 1."""
+    tau, k = t - t[0], (1.0 - gamma) * a
+    u = eta ** (1.0 - gamma) * np.exp(k * tau) + b * (1.0 - gamma) * np.expm1(k * tau) / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.where(u > 0.0, u ** (1.0 / (1.0 - gamma)), np.nan)
+        return y, a * y + b * y ** gamma
+
+
+growth_rates = st.floats(-0.3, -1e-3) | st.floats(1e-3, 0.3)
+
+
+class TestSpecialCaseClosedForms:
+    """GM(1,1) and the Bernoulli equation (INGBM) have elementary closed forms.
+    At the default step every route holds the error target against them on
+    the yearly grid extended by 7 stamps, t = 1..22.  The truths start at
+    x(t_1) = r eta; a Bernoulli truth's reduced set from ``grey_to_reduced``
+    converts back to beta = 0 bar rounding.  The default step is sized for truths that grow by at most
+    one e-fold per unit time (x / y <= 1); a Bernoulli truth near its pole
+    grows faster and misses the target (2.4e-7 at a = 0.125, gamma = 1.125,
+    eta = 1, r = 0.375), which a step chosen per fit would mend."""
+
+    GRID = np.arange(1.0, 23.0)
+    TRAIN = 15
+
+    def assert_within_target(self, spec, grey, y, x):
+        assume(np.all(y > 0) and np.all(x > 0))
+        assume(np.max(y) < ode.OVERFLOW_GUARD and np.max(x) < ode.OVERFLOW_GUARD)
+        assume(np.max(x / y) <= 1.0)
+        grid, y, x = self.GRID, y[:, None], x[:, None]
+        assert worst_relative_error(solve_grey(spec, grey, grid).states, y) <= ERROR_TARGET
+        reduced = grey_to_reduced(grey, spec)
+        states = solve_reduced(spec, reduced, grid).states
+        assert worst_relative_error(states[:, :1], x) <= ERROR_TARGET
+        assert worst_relative_error(states[:, 1:], y) <= ERROR_TARGET
+        residuals = np.zeros((self.TRAIN - 1, 1))
+        for params, method, exact in ((reduced, METHOD_INTEGRAL_MATCHING, x),
+                                      (grey, METHOD_GREY_TWOSTEP, difference_cumulative(grid, y))):
+            fit = FitResult(spec, params, method, residuals, 1.0, grid[:self.TRAIN])
+            forecast = forecast_fit(fit, grid.size - self.TRAIN)
+            assert worst_relative_error(forecast.fitted_and_forecast, exact) <= ERROR_TARGET
+
+    @settings(max_examples=25)
+    @given(a=growth_rates, eta=st.floats(1.0, 100.0), r=st.floats(0.01, 1.0))
+    def test_gm11(self, a, eta, r):
+        beta = (r - a) * eta
+        grey = ParameterSet([[a]], np.zeros((1, 0)), [eta], beta=[beta], form=GREY_FORM)
+        self.assert_within_target(ModelSpec(1, None, include_constant=True), grey,
+                                  *gm11_closed_form(a, beta, eta, self.GRID))
+
+    @settings(max_examples=25)
+    @given(a=growth_rates, gamma=st.floats(0.1, 0.9) | st.floats(1.1, 2.0),
+           eta=st.floats(1.0, 100.0), r=st.floats(0.01, 1.0))
+    def test_bernoulli(self, a, gamma, eta, r):
+        b = (r - a) * eta / eta ** gamma
+        grey = ParameterSet([[a]], [[b]], [eta], form=GREY_FORM)
+        self.assert_within_target(power_spec(gamma), grey,
+                                  *bernoulli_closed_form(a, b, gamma, eta, self.GRID))
 
 
 class TestEquivalence:
