@@ -372,36 +372,3 @@ def forecast_fit(fit: FitResult, horizon: int, future_times=None) -> Forecast:
                           f" (sample {forecast.blowup_index})")
     return forecast
 
-
-# ---------------------------------------------------------------------------
-# Closed-form logistic oracles
-# ---------------------------------------------------------------------------
-
-def _verhulst_denominator(a: float, b: float, eta: float, t, t1: float):
-    decay = np.exp(-a * (np.asarray(t, dtype=float) - t1))
-    return -b / a + decay * (1.0 / eta + b / a), decay
-
-
-def verhulst_closed_form_y(a: float, b: float, eta: float, t, t1: float = 0.0):
-    """Closed-form cumulative state of dy/dt = a y + b y^2, y(t1) = eta."""
-    if a == 0.0 or eta == 0.0:
-        raise ValueError("closed form requires a != 0 and eta != 0")
-    denom, _ = _verhulst_denominator(a, b, eta, t, t1)
-    if np.any(np.abs(denom) < 1e-12):
-        raise BlowUpError("logistic closed form is singular at the requested time")
-    return 1.0 / denom
-
-
-def verhulst_closed_form_x(a: float, b: float, eta: float, t, t1: float = 0.0):
-    """Time derivative of the closed-form logistic, i.e. the original-state solution.
-
-    Equals a * exp(-a (t - t1)) (b/a + 1/eta) / denom^2, which is exactly
-    d/dt of the cumulative closed form (verified against central differences
-    in the test suite).
-    """
-    if a == 0.0 or eta == 0.0:
-        raise ValueError("closed form requires a != 0 and eta != 0")
-    denom, decay = _verhulst_denominator(a, b, eta, t, t1)
-    if np.any(np.abs(denom) < 1e-12):
-        raise BlowUpError("logistic closed form is singular at the requested time")
-    return a * decay * (b / a + 1.0 / eta) / denom ** 2

@@ -9,8 +9,8 @@ PCG64 bit stream to keep runs reproducible across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,10 +53,6 @@ STATUS_ERROR = GreyModelError.status
 #: replications fitted and forecast together; a fixed size, so the cut into
 #: chunks does not depend on the worker count (nor a report on the size)
 CHUNK_SIZE = 250
-
-REPORT_COLUMNS = ("scenario_id", "estimator", "replication", "name", "value", "status")
-SUMMARY_COLUMNS = ("scenario_id", "estimator", "name", "count", "failures",
-                   "min", "q1", "median", "q3", "max", "mean", "stddev")
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +133,8 @@ class ScenarioConfig:
             raise ConfigError(f"{self.n_samples} samples do not fit in memory") from None
 
 
-@dataclass(frozen=True)
-class Record:
-    """One long-format result row."""
+class Record(NamedTuple):
+    """One long-format result row; its fields are the columns of ``report.csv``."""
 
     scenario_id: str
     estimator: str
@@ -210,8 +205,15 @@ def add_noise(clean: TimeSeries, noise_level: float, seed) -> TimeSeries:
     if noise_level == 0.0:
         return clean
     rng = _rng(seed)
-    noise = _standard_normal(rng, clean.values.shape) * _noise_sigmas(clean, noise_level)
-    return TimeSeries(clean.times, clean.values + noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = _standard_normal(rng, clean.values.shape) * _noise_sigmas(clean, noise_level)
+        noisy = clean.values + noise
+    try:
+        return TimeSeries(clean.times, noisy)
+    except ValueError:
+        # the clean series is finite, so only the noise can fail TimeSeries's one check
+        raise ConfigError(f"noise_level {noise_level:g} makes the noisy series "
+                          "overflow") from None
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +319,9 @@ def run_monte_carlo(config: ScenarioConfig, workers: int = 1) -> MonteCarloRepor
 # Summaries and CSV export
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
+    """One quantile summary row; its fields are the columns of ``summary.csv``."""
+
     scenario_id: str
     estimator: str
     name: str
@@ -359,13 +362,12 @@ def summarize(report: MonteCarloReport) -> List[SummaryRow]:
 
 
 def write_report_csv(reports: Iterable[MonteCarloReport], path) -> None:
-    """Long-format CSV (scenario_id, estimator, replication, name, value, status)."""
-    write_csv(path, REPORT_COLUMNS,
-              (astuple(record) for report in reports for record in report.records))
+    """Long-format CSV: each record as it is, under its field names."""
+    write_csv(path, Record._fields, (record for report in reports for record in report.records))
 
 
 def write_summary_csv(rows: Iterable[SummaryRow], path) -> None:
-    write_csv(path, SUMMARY_COLUMNS, map(astuple, rows))
+    write_csv(path, SummaryRow._fields, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ from greymatch import (
     solve_grey,
     solve_reduced,
     transform_parameters,
-    verhulst_closed_form_x,
-    verhulst_closed_form_y,
     verhulst_n_sweep,
     verhulst_spec,
     verhulst_truth,
@@ -42,6 +40,8 @@ from greymatch.datasets import (
     REPORTED_MAPE,
     reproduce_benchmark,
 )
+
+from closed_forms import bernoulli_closed_form
 
 GREY = "grey_twostep"
 MATCHING = "integral_matching"
@@ -131,19 +131,18 @@ def test_criterion_03_closed_form_oracle():
     grey = ParameterSet([[a]], [[b]], [eta], form="grey")
     reduced = ParameterSet([[a]], [[b]], [eta], form=REDUCED_FORM)
 
-    y_err = np.max(np.abs(solve_grey(spec, grey, times, substeps=10).states[:, 0]
-                          - verhulst_closed_form_y(a, b, eta, times)))
-    x_err = np.max(np.abs(solve_reduced(spec, reduced, times, substeps=10).states[:, 0]
-                          - verhulst_closed_form_x(a, b, eta, times)))
+    # the logistic is the Bernoulli equation at gamma = 2
+    y, x = bernoulli_closed_form(a, b, 2.0, eta, times)
+    y_err = np.max(np.abs(solve_grey(spec, grey, times, substeps=10).states[:, 0] - y))
+    x_err = np.max(np.abs(solve_reduced(spec, reduced, times, substeps=10).states[:, 0] - x))
     assert y_err <= 1e-8 and x_err <= 1e-8
 
-    h = 1e-5
-    worst_rel = 0.0
-    for t in np.linspace(0.1, 3.9, 20):
-        numeric = (verhulst_closed_form_y(a, b, eta, t + h)
-                   - verhulst_closed_form_y(a, b, eta, t - h)) / (2.0 * h)
-        exact = verhulst_closed_form_x(a, b, eta, t)
-        worst_rel = max(worst_rel, abs(numeric - exact) / abs(exact))
+    # x is the derivative of y: central differences at 20 stamps, read off one
+    # grid that starts at t1 = 0, where the oracle measures time from
+    h, t = 1e-5, np.linspace(0.1, 3.9, 20)
+    y, x = bernoulli_closed_form(a, b, 2.0, eta, np.concatenate(([0.0], t + h, t - h, t)))
+    y_plus, y_minus, exact = y[1:21], y[21:41], x[41:]
+    worst_rel = float(np.max(np.abs((y_plus - y_minus) / (2.0 * h) - exact) / np.abs(exact)))
     assert worst_rel <= 1e-6
     report_pass(3, f"integrator vs closed forms: y {y_err:.2e}, x {x_err:.2e}; "
                    f"derivative check {worst_rel:.2e}")

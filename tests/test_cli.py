@@ -284,7 +284,9 @@ class TestFitCommand:
         (["--model", "ingbm", "--gamma-search", "0,2,nan"], "finite"),
         (["--model", "ingbm", "--gamma-search", "0,inf,0.5"], "finite"),
         (["--model", "ingbm", "--gamma-search", "0,2,1e-300"], "candidates"),
-    ], ids=["poly1", "poly0", "gamma_nan", "step_nan", "range_inf", "step_tiny"])
+        (["--model", "ingbm", "--gamma-search", "0,2,1e-12"], "at most 10001 candidates"),
+    ], ids=["poly1", "poly0", "gamma_nan", "step_nan", "range_inf", "step_tiny",
+            "step_unfinishable"])
     def test_unusable_degree_or_exponent_exit_6(self, sewage_csv, tmp_path, capsys,
                                                   args, named):
         out = tmp_path / "o6"
@@ -422,7 +424,8 @@ class TestMcCommand:
         report = (out / "report.csv").read_text().splitlines()
         assert report[0] == "scenario_id,estimator,replication,name,value,status"
         summary = (out / "summary.csv").read_text().splitlines()
-        assert summary[0].startswith("scenario_id,estimator,name,count,failures")
+        assert summary[0] == ("scenario_id,estimator,name,count,failures,"
+                              "min,q1,median,q3,max,mean,stddev")
 
     def test_deterministic_across_workers(self, tmp_path, monkeypatch):
         scenario = self.scenario_file(tmp_path)
@@ -571,6 +574,10 @@ class TestMalformedInput:
         ("mc", dict(SCENARIO, T=1e308), 6, "T / h overflows the sample count"),
         ("mc", dict(SCENARIO, T=1e12, h=0.001), 6, "samples do not fit in memory"),
         ("mc", dict(SCENARIO, T=True), 6, "key 'T' must be a number"),
+        # finite, but the noise of a series whose variance exceeds 1.8 overflows
+        ("mc", dict(SCENARIO, noise_level=1e308, truth={"a": 1.2, "b": -0.01, "eta": 4.0}), 6,
+         "noise_level 1e+308"),
+        ("mc", dict(SCENARIO, noise_level=1e308, model="lv"), 6, "noise_level 1e+308"),
         ("forecast", dict(FIT_DOC, spec=dict(DEGREE_5_SPEC, basis={"kind": "polynomial",
                                                                    "max_degree": 3.7}),
                           reduced=dict(FIT_DOC["reduced"], theta_N=[[-0.5, 0.0]])), 2,
@@ -592,7 +599,7 @@ class TestMalformedInput:
             "replications_fraction", "seed_fraction", "n_fraction", "replications_bool",
             "seed_bool", "T_nan", "T_nan_string", "h_inf", "noise_level_nan",
             "noise_level_inf_string", "truth_nan", "n_overflows", "T_overflows",
-            "samples_beyond_memory", "T_bool",
+            "samples_beyond_memory", "T_bool", "noise_overflows", "lv_noise_overflows",
             "max_degree_fraction", "dimension_fraction", "include_constant_string",
             "method_tag_unknown", "gamma_nan"])
     def test_json_of_the_wrong_shape(self, tmp_path, capsys, command, doc, code, named):

@@ -3,7 +3,6 @@
 import ast
 import json
 import struct
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from greymatch import files
 from greymatch.files import write_csv, write_json
-from greymatch.simulate import REPORT_COLUMNS, SUMMARY_COLUMNS, Record, SummaryRow
+from greymatch.simulate import (MonteCarloReport, Record, ScenarioConfig, SummaryRow,
+                                verhulst_truth, write_report_csv, write_summary_csv)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "greymatch"
 
@@ -38,11 +38,30 @@ class TestWriteCsv:
         for (_, x, x64), v in zip(rows, values):
             assert bits(float(x)) == bits(float(x64)) == bits(v)
 
-    @pytest.mark.parametrize("columns, record", [
-        (REPORT_COLUMNS, Record), (SUMMARY_COLUMNS, SummaryRow)])
-    def test_report_rows_are_their_dataclass_fields(self, columns, record):
-        # the Monte Carlo writers write each row as dataclasses.astuple
-        assert tuple(f.name for f in fields(record)) == columns
+    def test_report_rows_are_written_as_they_are(self, tmp_path):
+        spec, truth = verhulst_truth()
+        config = ScenarioConfig("small", spec, truth, T=1.0, h=0.5, noise_level=0.1,
+                                replications=2, seed=0, estimators=("grey_twostep",))
+        records = (Record("small", "grey_twostep", 0, "a", 1.25, "ok"),
+                   Record("small", "grey_twostep", 0, "rmse", np.float64(0.1), "ok"),
+                   Record("small", "grey_twostep", 1, "failure", float("nan"), "blow_up"))
+        path = tmp_path / "report.csv"
+        write_report_csv([MonteCarloReport(config, records[:2]),
+                          MonteCarloReport(config, records[2:])], path)
+        assert path.read_bytes() == (b"scenario_id,estimator,replication,name,value,status\n"
+                                     b"small,grey_twostep,0,a,1.25,ok\n"
+                                     b"small,grey_twostep,0,rmse,0.1,ok\n"
+                                     b"small,grey_twostep,1,failure,nan,blow_up\n")
+
+    def test_summary_rows_are_written_as_they_are(self, tmp_path):
+        row = SummaryRow("small", "integral_matching", "a", 4, 1, -0.5, 0.25, 1.0, 1.5,
+                         np.float64(2.0), 1.0, 0.1 + 0.2)
+        path = tmp_path / "summary.csv"
+        write_summary_csv([row, row._replace(name="eta", failures=0)], path)
+        assert path.read_bytes() == (
+            b"scenario_id,estimator,name,count,failures,min,q1,median,q3,max,mean,stddev\n"
+            b"small,integral_matching,a,4,1,-0.5,0.25,1.0,1.5,2.0,1.0,0.30000000000000004\n"
+            b"small,integral_matching,eta,4,0,-0.5,0.25,1.0,1.5,2.0,1.0,0.30000000000000004\n")
 
 
 class TestWriteJson:

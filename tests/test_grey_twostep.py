@@ -36,6 +36,8 @@ from greymatch.datasets import sewage_discharge, water_use
 from greymatch.integral_matching import power_family_spec
 from greymatch.grey_twostep import _last_point_bracket, masked_row_solve
 
+from closed_forms import bernoulli_closed_form
+
 A, B_GREY, ETA = 1.2, -0.5, 0.4
 
 
@@ -207,10 +209,8 @@ class TestSelectInitial:
     def test_strategies_agree_on_clean_data(self):
         # exact cumulative data plus exact structural values: every strategy
         # must find the same initial value
-        from greymatch import verhulst_closed_form_y
-
         times = np.arange(0.0, 4.0 + 1e-9, 0.05)
-        y = verhulst_closed_form_y(1.2, -0.5, 0.4, times)
+        y, _ = bernoulli_closed_form(1.2, -0.5, 2.0, 0.4, times)
         spec = verhulst_spec()
         values = [select_initial(strategy, times, y[:, None], spec,
                                  np.array([[1.2]]), np.array([[-0.5]]))[0]

@@ -445,12 +445,22 @@ class TestGammaSearch:
         ((0.0, np.inf), 0.5, "finite"),
         ((-np.inf, 2.0), 0.5, "finite"),
         ((0.0, 2.0), 1e-300, "candidates"),
-    ], ids=["step_nan", "step_inf", "lo_nan", "hi_inf", "lo_inf", "step_tiny"])
+        ((0.0, 2.0), 1e-12, "candidates"),
+    ], ids=["step_nan", "step_inf", "lo_nan", "hi_inf", "lo_inf", "step_tiny",
+            "step_unfinishable"])
     def test_unusable_grid_is_a_config_error(self, search_range, step, message):
-        # at or past ScenarioConfig's intp bound the grid would never finish
+        # refused before any fit: a grid past MAX_GAMMA_CANDIDATES would not finish
         with pytest.raises(ConfigError, match=message):
             gamma_line_search(sewage_discharge(), "ingbm", search_range, step,
                               split=TRAIN_SIZE)
+
+    def test_grid_is_capped_at_a_candidate_count(self, monkeypatch):
+        monkeypatch.setattr(integral_matching, "MAX_GAMMA_CANDIDATES", 5)
+        calls = count_power_fits(monkeypatch)
+        gamma_line_search(sewage_discharge(), "ingbm", (0.0, 2.0), 0.5, split=TRAIN_SIZE)
+        assert len(calls) == 5
+        with pytest.raises(ConfigError, match="at most 5 candidates"):
+            gamma_line_search(sewage_discharge(), "ingbm", (0.0, 2.0), 0.4, split=TRAIN_SIZE)
 
     @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], np.ones((6, 2))],
                              ids=["too_short", "two_columns"])

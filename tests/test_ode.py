@@ -36,8 +36,6 @@ from greymatch import (
     solve_grey,
     solve_reduced,
     trapezoid_cumulative,
-    verhulst_closed_form_x,
-    verhulst_closed_form_y,
     verhulst_n_sweep,
     verhulst_spec,
 )
@@ -47,6 +45,8 @@ from greymatch.integral_matching import power_family_spec
 from greymatch.metrics import train_test_split
 from greymatch.ode import default_substeps, extend_times
 from greymatch.transform import difference_cumulative
+
+from closed_forms import bernoulli_closed_form, gm11_closed_form
 
 A, B, ETA = 1.2, -0.5, 0.4
 
@@ -99,7 +99,7 @@ class TestRK4:
         spec = verhulst_spec()
         grey = ParameterSet([[A]], [[B]], [ETA], form=GREY_FORM)
         traj = solve_grey(spec, grey, times, substeps=10)
-        expected = verhulst_closed_form_y(A, B, ETA, times)
+        expected, _ = bernoulli_closed_form(A, B, 2.0, ETA, times)
         assert np.max(np.abs(traj.states[:, 0] - expected)) <= 1e-8
 
     def test_fourth_order_convergence(self):
@@ -110,7 +110,7 @@ class TestRK4:
         def max_error(substeps):
             traj = solve_grey(spec, grey, times, substeps=substeps)
             return np.max(np.abs(traj.states[:, 0]
-                                 - verhulst_closed_form_y(A, B, ETA, times)))
+                                 - bernoulli_closed_form(A, B, 2.0, ETA, times)[0]))
 
         assert max_error(4) / max_error(8) >= 12.0
 
@@ -401,56 +401,10 @@ class TestRatesReadOff:
         truth = grey_to_reduced(ParameterSet([[a]], [[b]], [eta], form=GREY_FORM), spec)
         times = np.linspace(0.0, 6.0, 31)
         x = solve_reduced(spec, truth, times).states[:, 0]
-        exact = verhulst_closed_form_x(a, b, eta, times)
+        _, exact = bernoulli_closed_form(a, b, 2.0, eta, times)
         # x decays to 0 near the carrying capacity, so the error is measured
         # against the largest |x| rather than sample by sample
         assert np.max(np.abs(x - exact)) <= ERROR_TARGET * np.max(np.abs(exact))
-
-
-class TestClosedForms:
-    def test_initial_condition(self):
-        assert np.isclose(verhulst_closed_form_y(A, B, ETA, 0.0), ETA)
-        assert np.isclose(verhulst_closed_form_x(A, B, ETA, 0.0), A * ETA + B * ETA ** 2)
-
-    def test_carrying_capacity(self):
-        assert abs(verhulst_closed_form_y(A, B, ETA, 40.0) - 2.4) < 1e-9
-
-    def test_x_equals_derivative_of_y(self):
-        h = 1e-5
-        for t in (0.3, 1.1, 2.7):
-            numeric = (verhulst_closed_form_y(A, B, ETA, t + h)
-                       - verhulst_closed_form_y(A, B, ETA, t - h)) / (2.0 * h)
-            exact = verhulst_closed_form_x(A, B, ETA, t)
-            assert abs(numeric - exact) / abs(exact) <= 1e-6
-
-    def test_singularity_raises(self):
-        # b/a > 0 branch has a finite-time pole
-        with pytest.raises(BlowUpError):
-            verhulst_closed_form_y(1.0, 1.0, 1.0, 0.6931471805599453)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            verhulst_closed_form_y(0.0, B, ETA, 1.0)
-        with pytest.raises(ValueError):
-            verhulst_closed_form_x(A, B, 0.0, 1.0)
-
-
-def gm11_closed_form(a, beta, eta, t):
-    """y and x = dy/dt of GM(1,1), dy/dt = a y + beta with y(t_1) = eta."""
-    tau = t - t[0]
-    return eta * np.exp(a * tau) + beta * np.expm1(a * tau) / a, (a * eta + beta) * np.exp(a * tau)
-
-
-def bernoulli_closed_form(a, b, gamma, eta, t):
-    """y and x = dy/dt of dy/dt = a y + b y^gamma with y(t_1) = eta (INGBM in grey
-    form): u = y^(1 - gamma) solves the linear du/dt = (1 - gamma)(a u + b).
-    u is monotone, and y is NaN from where u reaches zero: y hits zero there
-    for gamma < 1 and has a pole for gamma > 1."""
-    tau, k = t - t[0], (1.0 - gamma) * a
-    u = eta ** (1.0 - gamma) * np.exp(k * tau) + b * (1.0 - gamma) * np.expm1(k * tau) / k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.where(u > 0.0, u ** (1.0 / (1.0 - gamma)), np.nan)
-        return y, a * y + b * y ** gamma
 
 
 growth_rates = st.floats(-0.3, -1e-3) | st.floats(1e-3, 0.3)

@@ -19,13 +19,14 @@ from greymatch import (
     lv_noise_sweep,
     run_monte_carlo,
     summarize,
-    verhulst_closed_form_x,
     verhulst_n_sweep,
     verhulst_noise_sweep,
     verhulst_truth,
     write_report_csv,
 )
 from greymatch import simulate
+
+from closed_forms import bernoulli_closed_form
 
 
 def small_config(**overrides):
@@ -83,12 +84,21 @@ class TestGeneration:
         config = small_config(h=0.04)
         clean = generate_clean(config)
         assert clean.n == 101
-        expected = verhulst_closed_form_x(1.2, -0.5, 0.4, clean.times)
+        _, expected = bernoulli_closed_form(1.2, -0.5, 2.0, 0.4, clean.times)
         assert np.max(np.abs(clean.values[:, 0] - expected)) <= 1e-8
 
     def test_zero_noise_identity(self):
         clean = generate_clean(small_config())
         assert add_noise(clean, 0.0, 1) is clean
+
+    @pytest.mark.parametrize("truth", [verhulst_truth(1.2, -0.01, 4.0), lotka_volterra_truth()],
+                             ids=["verhulst", "lv"])
+    def test_overflowing_noise_is_a_config_error(self, truth):
+        # finite, but the noise of a series whose variance exceeds 1.8 overflows
+        config = small_config(spec=truth[0], truth=truth[1], T=2.0, noise_level=1e308,
+                              replications=2)
+        with pytest.raises(ConfigError, match="noise_level"):
+            run_monte_carlo(config)
 
     def test_same_seed_bit_identical(self):
         clean = generate_clean(small_config())
