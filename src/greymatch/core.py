@@ -249,9 +249,26 @@ class PowerUnivariate(NonlinearBasis):
         outside = y <= floor
         if np.count_nonzero(outside):    # cheaper than ``any`` on a few rows
             i = int(outside.argmax())
-            raise DomainError(f"power basis with gamma={float(exponents[i, 0])} requires "
-                              f"a positive argument, got {float(y[i, 0])}")
+            raise _outside_domain(float(exponents[i, 0]), float(y[i, 0]))
         return np.power(y, exponents)
+
+    def row_power(self):
+        """N of one float state under one exponent, as ``evaluate`` gives it for
+        one row: numpy's ``power`` on a (1, 1) array, since Python's ``**``
+        (libm's ``pow``) differs from it in the last bit for some arguments."""
+        exponents = self._exponents
+        (gamma,), (floor,) = exponents[:, 0].tolist(), self._floor[:, 0].tolist()
+
+        def power(v):
+            if v <= floor:
+                raise _outside_domain(gamma, v)
+            return np.power(np.array([[v]]), exponents).item()
+
+        return power
+
+
+def _outside_domain(gamma: float, y: float) -> DomainError:
+    return DomainError(f"power basis with gamma={gamma} requires a positive argument, got {y}")
 
 
 @dataclass(frozen=True)

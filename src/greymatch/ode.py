@@ -14,12 +14,20 @@ flagging each row on its own.  The model field is written over such a batch
 of fits that share a spec, bar a power basis' exponent, which that basis
 holds per row, with explicit sums and no matrix products, so a fit forecast
 alone is the one-row case of a batch and equals its row there bit for bit.
+A single fit's forecast is that one-row case, and on a (1, d) array its time
+is nearly all numpy's per-call cost.  So the field of one fit carries a twin
+on Python floats, with the same products and left-to-right sums, which RK4
+and the rate read-off run on, bit for bit.  A power basis' twin still calls
+numpy's ``power``: Python's ``**`` (libm's ``pow``) differs from it in the
+last bit for some arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add, mul
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -33,7 +41,9 @@ from .core import (
     GREY_FORM,
     ModelSpec,
     ParameterSet,
+    PolynomialUnivariate,
     PowerUnivariate,
+    QuadraticMultivariate,
     _readonly,
     reduced_to_grey,
 )
@@ -137,7 +147,8 @@ def rk4_integrate(rhs: VectorField, initial, times,
     ``rhs`` is then called on the whole (B, m) batch and its row i must
     depend on row i alone.  Each row has its own guard: a row that fails it
     is NaN from that sample on while the other rows carry on, so every row
-    equals the same row integrated alone.
+    equals the same row integrated alone.  One state under a field that
+    carries ``row``, its twin on floats (``grey_rhs``), runs on floats.
     """
     times = np.asarray(times, dtype=float)
     if substeps is None:
@@ -149,33 +160,73 @@ def rk4_integrate(rhs: VectorField, initial, times,
         raise ValueError("initial must be one state (m,) or a batch of states (B, m)")
     out = np.full((times.size,) + state.shape, np.nan)
     first_bad = np.full(state.shape[0] if state.ndim == 2 else 1, -1)
+    row = getattr(rhs, "row", None)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if row is not None and first_bad.size == 1:
+            _rk4_row(row, state.ravel().tolist(), times.tolist(), substeps,
+                     out.reshape(times.size, -1), first_bad)
+        else:
+            _rk4_rows(rhs, state, times, substeps, out, first_bad)
+    out.setflags(write=False)    # a fresh array Trajectory can keep without a copy
+    return Trajectory(times, out, first_bad)
+
+
+def _rk4_rows(rhs: VectorField, state: np.ndarray, times: np.ndarray, substeps: int,
+              out: np.ndarray, first_bad: np.ndarray) -> None:
+    """``rk4_integrate`` of a (B, m) batch, or of one (m,) state, on arrays."""
     live = _drop_bad_rows(state, first_bad, 0)
     out[0] = state
     sixth = 1.0 / 6.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(1, times.size):
-            if live is None:
-                break
+    for k in range(1, times.size):
+        if live is None:
+            break
+        dt = (times[k] - times[k - 1]) / substeps
+        half = 0.5 * dt
+        t = times[k - 1]
+        for _ in range(substeps):
+            k1 = rhs(t, state)
+            k2 = rhs(t + half, state + half * k1)
+            k3 = rhs(t + half, state + half * k2)
+            k4 = rhs(t + dt, state + dt * k3)
+            state = state + dt * sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            t += dt
+            # one dot product over the live rows per substep; rows are looked
+            # at one by one only after it fails
+            running = state[live]
+            if not np.vdot(running, running) < GUARD_SQ:
+                live = _drop_bad_rows(state, first_bad, k)
+                if live is None:
+                    break
+        out[k] = state
+
+
+def _rk4_row(row, y: List[float], times: List[float], substeps: int,
+             out: np.ndarray, first_bad: np.ndarray) -> None:
+    """``rk4_integrate`` of one state on floats under its field's twin ``row``,
+    into the (n, m) ``out``: the array loop's operations in its order, and the
+    guard's exact test on every entry after each substep, which the array
+    loop's dot product only schedules, so the states and flag are its bits."""
+    sixth = 1.0 / 6.0
+    for k in range(len(times)):
+        if k:
             dt = (times[k] - times[k - 1]) / substeps
-            half = 0.5 * dt
+            half, step = 0.5 * dt, dt * sixth
             t = times[k - 1]
             for _ in range(substeps):
-                k1 = rhs(t, state)
-                k2 = rhs(t + half, state + half * k1)
-                k3 = rhs(t + half, state + half * k2)
-                k4 = rhs(t + dt, state + dt * k3)
-                state = state + dt * sixth * (k1 + 2.0 * (k2 + k3) + k4)
+                k1 = row(t, y)
+                k2 = row(t + half, [v + half * g for v, g in zip(y, k1)])
+                k3 = row(t + half, [v + half * g for v, g in zip(y, k2)])
+                k4 = row(t + dt, [v + dt * g for v, g in zip(y, k3)])
+                y = [v + step * (a + 2.0 * (b + c) + e)
+                     for v, a, b, c, e in zip(y, k1, k2, k3, k4)]
                 t += dt
-                # one dot product over the live rows per substep; rows are looked
-                # at one by one only after it fails
-                running = state[live]
-                if not np.vdot(running, running) < GUARD_SQ:
-                    live = _drop_bad_rows(state, first_bad, k)
-                    if live is None:
-                        break
-            out[k] = state
-    out.setflags(write=False)    # a fresh array Trajectory can keep without a copy
-    return Trajectory(times, out, first_bad)
+                if not all([abs(v) < OVERFLOW_GUARD for v in y]):
+                    break
+        # NaN and +-inf fail the comparison too
+        if not all([abs(v) < OVERFLOW_GUARD for v in y]):
+            first_bad[0] = k
+            return
+        out[k] = y
 
 
 def _batch(params) -> List[ParameterSet]:
@@ -200,25 +251,73 @@ def grey_rhs(spec: ModelSpec, params) -> VectorField:
     product that ``accumulate`` sums (a ``sum`` would add some terms pairwise).
     Neither is a matrix product, whose rounding depends on the shapes, so row
     i reads row i of the states alone.
+
+    The field of one set also carries ``row``, its twin on Python floats:
+    ``row(t, y)`` maps a state's d floats to its derivative's with the same
+    products and sums in the same order, so it returns the field's bits.
     """
     batch = _batch(params)
     coef = _coefficients(batch)
     beta = np.stack([p.beta_or_zero() for p in batch])
     basis = spec.basis
+    if isinstance(basis, PowerUnivariate) and np.ndim(basis.gamma) == 0 and len(batch) > 1:
+        # the exponent column of every call, built once
+        basis = PowerUnivariate((basis.gamma,) * len(batch))
     if spec.dimension == 1 and spec.p <= 1:
         c = list(coef)    # (B, 1) views of the columns, split once
         if basis is None:
-            return lambda t, y: c[0] * y + beta
-        evaluate = basis.evaluate
-        return lambda t, y: c[0] * y + c[1] * evaluate(y) + beta
-    if basis is None:
-        return lambda t, y: np.add.accumulate(coef * y.T[:, :, None], axis=0)[-1] + beta
+            field = lambda t, y: c[0] * y + beta
+        else:
+            evaluate = basis.evaluate
+            field = lambda t, y: c[0] * y + c[1] * evaluate(y) + beta
+    elif basis is None:
+        field = lambda t, y: np.add.accumulate(coef * y.T[:, :, None], axis=0)[-1] + beta
+    else:
+        def field(t, y):
+            columns = np.concatenate((y, basis.evaluate(y)), axis=1).T[:, :, None]    # (C, B, 1)
+            return np.add.accumulate(coef * columns, axis=0)[-1] + beta
+    if len(batch) == 1:
+        field.row = _row_field(coef[:, 0].T.tolist(), beta[0].tolist(), basis)
+    return field
 
-    def rhs(t, y):
-        columns = np.concatenate((y, basis.evaluate(y)), axis=1).T[:, :, None]    # (C, B, 1)
-        return np.add.accumulate(coef * columns, axis=0)[-1] + beta
 
-    return rhs
+def _row_monomials(basis):
+    """N from a state's d floats to its p floats, by the products that
+    ``basis.evaluate`` makes; a basis not named here runs its own
+    ``evaluate`` on a one-row array."""
+    if isinstance(basis, PowerUnivariate):
+        power = basis.row_power()
+        return lambda y: [power(y[0])]
+    if isinstance(basis, QuadraticMultivariate):
+        pairs = basis.pairs
+        return lambda y: [y[i] * y[j] for i, j in pairs]
+    if isinstance(basis, PolynomialUnivariate):
+        def powers(y):
+            v = y[0]
+            power = v * v
+            out = [power]
+            for _ in range(3, basis.max_degree + 1):
+                power = power * v
+                out.append(power)
+            return out
+
+        return powers
+    return lambda y: basis.evaluate(np.array([y])).tolist()[0]
+
+
+def _row_field(coef: List[List[float]], beta: List[float], basis):
+    """The one-row twin of ``grey_rhs``: output j is
+    coef[j][0] z_0 + coef[j][1] z_1 + ... + beta[j], added left to right."""
+    monomials = None if basis is None else _row_monomials(basis)
+    if len(beta) == 1 and len(coef[0]) == 2:    # IGVM, INGM, INGBM: one sum, unrolled
+        (c0, c1), (b,) = coef[0], beta
+        return lambda t, y: [c0 * y[0] + c1 * monomials(y)[0] + b]
+
+    def row(t, y):
+        columns = y if monomials is None else y + monomials(y)
+        return [reduce(add, map(mul, c, columns)) + b for c, b in zip(coef, beta)]
+
+    return row
 
 
 def _one_row(traj: Trajectory) -> Trajectory:
@@ -248,9 +347,14 @@ def _with_rates(rhs: VectorField, traj: Trajectory) -> Trajectory:
     n, rows, d = traj.states.shape
     out = np.empty((n, rows, 2 * d))
     out[:, :, d:] = traj.states
+    row = getattr(rhs, "row", None)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n):
-            out[k, :, :d] = rhs(traj.times[k], traj.states[k])
+        if row is not None and rows == 1:
+            out[:, 0, :d] = [row(t, y) for t, y in zip(traj.times.tolist(),
+                                                       traj.states[:, 0].tolist())]
+        else:
+            for k in range(n):
+                out[k, :, :d] = rhs(traj.times[k], traj.states[k])
     # NaN and +-inf fail the comparison, so the rows NaN after RK4's own flag do too
     bad = ~(np.max(np.abs(out), axis=2) < OVERFLOW_GUARD)
     first_bad = np.where(bad.any(axis=0), bad.argmax(axis=0), -1)

@@ -15,6 +15,8 @@ from greymatch.cli import _load_scenarios, main, read_timeseries_csv
 from greymatch.simulate import ScenarioConfig
 from greymatch.datasets import REPORTED_FORECASTS, SEWAGE_VALUES
 
+from row_twin import count_row_calls
+
 SCENARIO = {"scenario_id": "tiny", "model": "verhulst", "T": 2.0, "h": 0.1,
             "noise_level": 0.10, "replications": 5, "seed": 7}
 
@@ -672,11 +674,13 @@ class TestForecastFuzz:
             del node[path[-1]]
         else:
             node[path[-1]] = value
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, count_row_calls() as calls:
             fit_path = Path(tmp) / "fit.json"
             fit_path.write_text(json.dumps(doc))
             code = main(["forecast", str(fit_path), "--horizon", "1", "--out-dir", tmp])
         assert code in (0, 2, 3, 4, 5, 6)
+        # a forecast is one fit, which runs on floats
+        assert calls or code != 0
 
 
 class TestScenarioFuzz:

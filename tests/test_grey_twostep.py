@@ -37,6 +37,7 @@ from greymatch.integral_matching import power_family_spec
 from greymatch.grey_twostep import _last_point_bracket, masked_row_solve
 
 from closed_forms import bernoulli_closed_form
+from row_twin import count_row_calls
 
 A, B_GREY, ETA = 1.2, -0.5, 0.4
 
@@ -429,7 +430,9 @@ class TestBatchedSearch:
         assert traj.row_blowup_index.tolist()[:3] == [-1, -1, -1]
         assert np.all(traj.row_blowup_index[3:] > 0)
         for i, params in enumerate(batch):
-            alone = solve_grey(spec, params, times)
+            with count_row_calls() as calls:
+                alone = solve_grey(spec, params, times)
+            assert calls    # alone, the row runs on floats
             assert np.array_equal(traj.states[:, i], alone.states, equal_nan=True)
             index = traj.row_blowup_index[i]
             assert alone.blown_up == (index >= 0)

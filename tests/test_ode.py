@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,6 +33,7 @@ from greymatch import (
     lv_noise_sweep,
     polynomial_spec,
     power_spec,
+    quadratic_spec,
     reduced_to_grey,
     rk4_integrate,
     solve_grey,
@@ -47,6 +50,7 @@ from greymatch.ode import default_substeps, extend_times
 from greymatch.transform import difference_cumulative
 
 from closed_forms import bernoulli_closed_form, gm11_closed_form
+from row_twin import count_row_calls, counted
 
 A, B, ETA = 1.2, -0.5, 0.4
 
@@ -153,7 +157,12 @@ class TestRK4:
         def check(rows):
             batch = rk4_integrate(field(a[rows]), y0[rows], times, 4)
             for j, i in enumerate(rows):
-                alone = rk4_integrate(field(a[i]), y0[i], times, 4)
+                # alone, the row runs on floats under its field's twin
+                one, calls = field(a[i]), []
+                rate = float(a[i, 0])
+                one.row = counted(lambda t, y: [rate * y[0]], calls)
+                alone = rk4_integrate(one, y0[i], times, 4)
+                assert calls or np.isnan(y0[i, 0])
                 assert np.array_equal(batch.states[:, j], alone.states, equal_nan=True)
                 assert batch.row_blowup_index[j] == row_index(alone)
             flagged = [k for k in batch.row_blowup_index if k >= 0]
@@ -198,7 +207,8 @@ def sequential_combination(coef, blocks):
 class TestCombine:
     """``grey_rhs`` sums its columns strictly left to right, row by row, in the
     form its spec fixes: term by term for a scalar state with at most one
-    basis column, by ``accumulate`` over wider blocks."""
+    basis column, by ``accumulate`` over wider blocks.  The field of one set
+    and its twin on floats return the same bits."""
 
     @staticmethod
     def assert_summed_in_order(spec, batch, y):
@@ -208,7 +218,9 @@ class TestCombine:
         beta = np.stack([p.beta_or_zero() for p in batch])
         assert np.array_equal(field, sequential_combination(coef, blocks) + beta)
         for i, params in enumerate(batch):
-            assert np.array_equal(grey_rhs(spec, params)(0.0, y[i:i + 1]), field[i:i + 1])
+            one = grey_rhs(spec, params)
+            assert np.array_equal(one(0.0, y[i:i + 1]), field[i:i + 1])
+            assert np.array(one.row(0.0, y[i].tolist())).tobytes() == field[i].tobytes()
         return field
 
     @given(rows=st.integers(1, 70),
@@ -366,7 +378,11 @@ class TestRatesReadOff:
         for params in (sets[0], sets):    # one row, then a batch
             batch = [params] if isinstance(params, ParameterSet) else params
             rhs = grey_rhs(spec, [reduced_to_grey(p, spec) for p in batch])
-            states = solve_reduced(spec, params, times, substeps=4).states
+            with count_row_calls() as calls:
+                states = solve_reduced(spec, params, times, substeps=4).states
+            # the one row is integrated and read off on floats: 4 substeps of
+            # 4 stages per interval, then one rate per sample
+            assert len(calls) == (16 * (times.size - 1) + times.size if len(batch) == 1 else 0)
             states = states.reshape(times.size, len(batch), 2 * d)
             assert np.all(np.isfinite(states))
             for k in range(times.size):
@@ -381,10 +397,13 @@ class TestRatesReadOff:
         traj = solve_reduced(spec, sets, times, substeps=4)
         assert traj.row_blowup_index.tolist() == [-1, 0, -1]
         assert np.all(np.isnan(traj.states[:, 1]))
-        for i in (0, 2):
-            alone = solve_reduced(spec, sets[i], times, substeps=4)
-            assert np.all(np.isfinite(alone.states))
-            assert np.array_equal(traj.states[:, i], alone.states)
+        for i in (0, 1, 2):
+            with count_row_calls() as calls:
+                alone = solve_reduced(spec, sets[i], times, substeps=4)
+            assert calls
+            assert np.array_equal(traj.states[:, i], alone.states, equal_nan=True)
+            assert alone.row_blowup_index.tolist() == [traj.row_blowup_index[i]]
+            assert np.all(np.isfinite(alone.states)) == (i != 1)
         # the power route reads its rates under the same guard
         fits = [power_fit(1.0, 0.5, 0.5, 1.0, 2e12, times),
                 power_fit(1.0, 0.5, 0.5, 1.0, 1.0, times)]
@@ -515,11 +534,16 @@ def pair_field(a, b, c):
 
     x can overflow the guard and y can go negative, where sqrt turns the row
     NaN; the arithmetic is elementwise, so a batch and a single row agree.
+    The field of one row carries its twin on floats, as ``grey_rhs`` does.
     """
     def rhs(t, u):
         x, y = u[..., 0], u[..., 1]
         return np.stack([a * x + b * x * y, x + c * np.sqrt(y)], axis=-1)
 
+    if np.ndim(a) == 0:
+        a, b, c = float(a), float(b), float(c)
+        rhs.row = lambda t, u: [a * u[0] + b * u[0] * u[1],
+                                u[0] + c * (math.sqrt(u[1]) if u[1] >= 0.0 else math.nan)]
     return rhs
 
 
@@ -577,7 +601,9 @@ def assert_same_forecast(batched, alone):
 def assert_row_is_its_fit_alone(forecast, fit, horizon):
     """A batch's row equals the fit forecast alone, which ``forecast_fit`` returns
     whole or refuses with ``BlowUpError`` where the row blew up."""
-    (alone,) = forecast_fits([fit], horizon)
+    with count_row_calls() as calls:
+        (alone,) = forecast_fits([fit], horizon)
+    assert calls, "the fit alone did not take the one-row route"
     assert_same_forecast(forecast, alone)
     if forecast.blown_up:
         with pytest.raises(BlowUpError):
@@ -593,7 +619,58 @@ def grey_power_fit(beta, times):
                      np.zeros((times.size - 1, 1)), 1.0, times)
 
 
+#: a spec for each form of the one-row field
+ROW_ROUTES = {
+    "linear": ModelSpec(1, None),
+    "linear-constant": ModelSpec(1, None, include_constant=True),
+    "poly-3": polynomial_spec(3, include_constant=True),    # the accumulate sum
+    "power-integer": power_spec(2.0),
+    "power-fractional": power_spec(0.5, include_constant=True),
+    "quadratic-d2": quadratic_spec(2),
+    "quadratic-d3": quadratic_spec(3),
+    "lotka-volterra": lotka_volterra_spec(),
+}
+
+
 class TestBatched:
+    @pytest.mark.parametrize("form", [GREY_FORM, REDUCED_FORM])
+    @pytest.mark.parametrize("name", list(ROW_ROUTES))
+    def test_one_row_route_equals_its_batch_row(self, name, form):
+        spec = ROW_ROUTES[name]
+        d, times, rng = spec.dimension, 0.1 * np.arange(8.0), np.random.default_rng(11)
+        method = METHOD_GREY_TWOSTEP if form == GREY_FORM else METHOD_INTEGRAL_MATCHING
+
+        def fit(theta_L, theta_N, beta):
+            params = ParameterSet(theta_L, theta_N, rng.uniform(1.0, 2.0, d), form=GREY_FORM,
+                                  beta=beta if spec.include_constant else None)
+            if form == REDUCED_FORM:
+                params = grey_to_reduced(params, spec)
+            return FitResult(spec, params, method, np.zeros((times.size - 1, d)), 1.0, times)
+
+        def drawn():
+            # from y >= 1 with beta >= 0, y stays above 0 over the grid
+            return fit(rng.uniform(-0.5, 0.5, (d, d)) * spec.linear_mask(),
+                       rng.uniform(-0.5, 0.5, (d, spec.p)) * spec.nonlinear_mask(),
+                       rng.uniform(0.0, 1.0, d))
+
+        # two rows that run and one that blows up, as one batch on the array route
+        batch = [drawn(), drawn(), fit(60.0 * np.eye(d), np.zeros((d, spec.p)), np.ones(d))]
+        forecasts = forecast_fits(batch, 2)
+        assert [f.blown_up for f in forecasts] == [False, False, True]
+        for fit_, forecast in zip(batch, forecasts):
+            assert_row_is_its_fit_alone(forecast, fit_, 2)
+        # y = eta - 40 t leaves a fractional power's domain inside the first interval
+        falling = fit(np.zeros((d, d)), np.zeros((d, spec.p)), np.full(d, -40.0))
+        with count_row_calls() as calls:
+            (alone,) = forecast_fits([falling], 2)
+        assert calls
+        if name == "power-fractional":
+            assert alone is None
+            with pytest.raises(DomainError):
+                forecast_fit(falling, 2)
+        else:
+            assert alone is not None
+
     @given(rows=st.lists(pair_rows, min_size=1, max_size=6), n=st.integers(2, 8),
            substeps=st.integers(1, 4), data=st.data())
     def test_rk4_rows_equal_serial_runs(self, rows, n, substeps, data):
@@ -603,7 +680,10 @@ class TestBatched:
         batch = rk4_integrate(pair_field(a, b, c), np.column_stack([x0, y0]), times, substeps)
         indices = []
         for i in range(len(rows)):
-            alone = rk4_integrate(pair_field(a[i], b[i], c[i]), [x0[i], y0[i]], times, substeps)
+            field, calls = pair_field(a[i], b[i], c[i]), []
+            field.row = counted(field.row, calls)
+            alone = rk4_integrate(field, [x0[i], y0[i]], times, substeps)
+            assert calls
             assert np.array_equal(batch.states[:, i], alone.states, equal_nan=True)
             assert batch.row_blowup_index[i] == row_index(alone)
             indices.append(row_index(alone))
@@ -617,7 +697,10 @@ class TestBatched:
         times = 0.05 * np.arange(float(n))
         fits = [power_fit(*row, times) for row in rows]
         for fit, forecast in zip(fits, forecast_fits(fits, horizon)):
-            (alone,) = forecast_fits([fit], horizon)
+            with count_row_calls() as calls:
+                (alone,) = forecast_fits([fit], horizon)
+            # an eta outside the domain stops the fit before it is integrated
+            assert calls or fit.params.eta[0] <= 0.0
             if forecast is None:
                 assert alone is None
                 with pytest.raises(DomainError):
