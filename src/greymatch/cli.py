@@ -223,15 +223,20 @@ def _spec_to_json(spec: ModelSpec) -> dict:
 
 
 def _spec_from_json(doc: dict) -> ModelSpec:
+    dimension = _require_key(doc, "dimension", int, "key 'spec'")
     kind = doc["basis"]["kind"]
     if kind == "none":
         basis = None
     elif kind in BASIS_KINDS:
         cls, field, field_type = BASIS_KINDS[kind]
-        basis = cls(_require_key(doc["basis"], field, field_type, "key 'spec.basis'"))
+        size = _require_key(doc["basis"], field, field_type, "key 'spec.basis'")
+        # a quadratic basis lists its d(d+1)/2 pairs when built: ModelSpec's check comes first
+        if cls is QuadraticMultivariate and size != dimension:
+            raise ValueError(f"basis dimension {size} != spec dimension {dimension}")
+        basis = cls(size)
     else:
         raise ParseError(f"unknown basis kind {kind!r}")
-    return ModelSpec(_require_key(doc, "dimension", int, "key 'spec'"), basis,
+    return ModelSpec(dimension, basis,
                      _require_key(doc, "include_constant", bool, "key 'spec'"),
                      _require_key(doc, "include_linear", bool, "key 'spec'"),
                      doc.get("theta_L_mask"), doc.get("theta_N_mask"))
@@ -294,7 +299,6 @@ def fit_to_json(fit: FitResult, method: str, split: Optional[int],
 
 
 def _fit_from_json(doc: dict):
-    spec = _spec_from_json(doc["spec"])
     times = np.array(doc["times"], dtype=float)
     if times.ndim != 1 or times.size < 2 or not np.all(np.diff(times) > 0):
         raise ValueError("'times' must be a list of at least two increasing numbers")
@@ -306,13 +310,19 @@ def _fit_from_json(doc: dict):
     grey = doc["method_tag"] == METHOD_GREY_TWOSTEP
     block = doc["grey" if grey else "reduced"]
     offset = "beta" if grey else "eta_x"
-    d = spec.dimension
-    # ParameterSet broadcasts a scalar and knows nothing of the spec's basis size
-    for name, shape in (("theta_L", (d, d)), ("theta_N", (d, spec.p)), ("eta", (d,)),
-                        (offset, (d,))):
-        if np.shape(block[name]) != shape and not (name == offset and block[name] is None):
-            raise ValueError(f"'{name}' must have shape {shape} under the spec, "
-                             f"got {np.shape(block[name])}")
+
+    def check_shapes(*shapes):
+        # ParameterSet broadcasts a scalar and knows nothing of the spec's basis size
+        for name, shape in shapes:
+            if np.shape(block[name]) != shape and not (name == offset and block[name] is None):
+                raise ValueError(f"'{name}' must have shape {shape} under the spec, "
+                                 f"got {np.shape(block[name])}")
+
+    # the declared dimension is checked against the arrays before a basis of it is built
+    d = _require_key(doc["spec"], "dimension", int, "key 'spec'")
+    check_shapes(("theta_L", (d, d)), ("eta", (d,)), (offset, (d,)))
+    spec = _spec_from_json(doc["spec"])
+    check_shapes(("theta_N", (d, spec.p)))
     params = ParameterSet(block["theta_L"], block["theta_N"], block["eta"],
                           form=GREY_FORM if grey else REDUCED_FORM, **{offset: block[offset]})
     return FitResult(spec, params, doc["method_tag"], np.zeros((times.size - 1, d)),

@@ -8,7 +8,7 @@ Monte Carlo workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -136,18 +136,20 @@ class TimeSeries:
 # ---------------------------------------------------------------------------
 
 class NonlinearBasis:
-    """A vector of nonlinear monomials N(y): R^d -> R^p.
+    """A vector of nonlinear monomials N(y): R^d -> R^p, in two forms.
 
-    The polynomial kinds also give their analytic Jacobian, which the
-    one-step estimator's change of basis reads at the initial value; the
-    power kind has none.  Both methods take a batch of B states as a (B, d)
-    array.  They are built from elementwise operations only: integer powers
-    by repeated multiplication, the power kind's by numpy ``power`` over a
-    full exponent column, with no matrix product and no scattered
-    accumulation, so row i of the result depends on state i alone, bit for
-    bit, whatever the other rows are.  A monomial that overflows is inf or
-    NaN; callers hold the ``np.errstate`` that keeps that quiet, as RK4,
-    ``ModelSpec.design`` and ``evaluate_basis`` do.
+    ``evaluate`` takes a batch of B states as a (B, d) array, and ``row``
+    one state as its d Python floats, which a one-row RK4 solve runs on.
+    The polynomial kinds also give their analytic Jacobian of a batch,
+    which the one-step estimator's change of basis reads at the initial
+    value; the power kind has none.  Every form is built from elementwise
+    operations only: integer powers by repeated multiplication, the power
+    kind's by numpy ``power`` over a full exponent column, with no matrix
+    product and no scattered accumulation, so row i of a batch depends on
+    state i alone, and ``row`` gives it, bit for bit, whatever the other
+    rows are.  A monomial that overflows is inf or NaN; callers hold the
+    ``np.errstate`` that keeps that quiet, as RK4, ``ModelSpec.design`` and
+    ``evaluate_basis`` do.
     """
 
     dimension: int
@@ -162,6 +164,10 @@ class NonlinearBasis:
         """The (B, p) values N(y) of a (B, d) batch of states."""
         raise NotImplementedError
 
+    def row(self, y: List[float]) -> List[float]:
+        """The p floats N(y) of one state's d floats: ``evaluate``'s row, bit for bit."""
+        raise NotImplementedError
+
     def jacobian(self, y: np.ndarray) -> np.ndarray:
         """The (B, p, d) Jacobians dN/dy of a (B, d) batch of states."""
         raise NotImplementedError
@@ -169,6 +175,16 @@ class NonlinearBasis:
 
 def _stack_columns(columns) -> np.ndarray:
     return columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
+
+
+def _powers(y, top: int) -> list:
+    """[y^2, y^3, ..., y^top] of an array or a float, by repeated multiplication."""
+    power = y * y
+    powers = [power]
+    for _ in range(3, top + 1):
+        power = power * y
+        powers.append(power)
+    return powers
 
 
 @dataclass(frozen=True)
@@ -190,20 +206,15 @@ class PolynomialUnivariate(NonlinearBasis):
         return self.max_degree - 1
 
     def evaluate(self, y):
-        power = y * y
-        columns = [power]
-        for _ in range(3, self.max_degree + 1):
-            power = power * y
-            columns.append(power)
-        return _stack_columns(columns)
+        return _stack_columns(_powers(y, self.max_degree))
+
+    def row(self, y):
+        return _powers(y[0], self.max_degree)
 
     def jacobian(self, y):
-        # d/dy y^e = e y^(e - 1)
-        power = y
-        columns = [2.0 * y]
-        for e in range(3, self.max_degree + 1):
-            power = power * y
-            columns.append(e * power)
+        # d/dy y^e = e y^(e - 1): 2 y, then e times each of y^2, ..., y^(max_degree - 1)
+        powers = _powers(y, self.max_degree)[:-1]
+        columns = [2.0 * y] + [e * power for e, power in enumerate(powers, 3)]
         return _stack_columns(columns)[:, :, None]
 
 
@@ -252,19 +263,14 @@ class PowerUnivariate(NonlinearBasis):
             raise _outside_domain(float(exponents[i, 0]), float(y[i, 0]))
         return np.power(y, exponents)
 
-    def row_power(self):
-        """N of one float state under one exponent, as ``evaluate`` gives it for
-        one row: numpy's ``power`` on a (1, 1) array, since Python's ``**``
-        (libm's ``pow``) differs from it in the last bit for some arguments."""
-        exponents = self._exponents
-        (gamma,), (floor,) = exponents[:, 0].tolist(), self._floor[:, 0].tolist()
-
-        def power(v):
-            if v <= floor:
-                raise _outside_domain(gamma, v)
-            return np.power(np.array([[v]]), exponents).item()
-
-        return power
+    def row(self, y):
+        """N of one state under the basis' one exponent: numpy's ``power`` on a
+        (1, 1) array, since Python's ``**`` (libm's ``pow``) differs from it
+        in the last bit for some arguments."""
+        (v,) = y
+        if v <= self._floor.item():
+            raise _outside_domain(self._exponents.item(), v)
+        return [np.power(np.array([[v]]), self._exponents).item()]
 
 
 def _outside_domain(gamma: float, y: float) -> DomainError:
@@ -302,6 +308,9 @@ class QuadraticMultivariate(NonlinearBasis):
 
     def evaluate(self, y):
         return y.take(self._ii, axis=1) * y.take(self._jj, axis=1)
+
+    def row(self, y):
+        return [y[i] * y[j] for i, j in self.pairs]
 
     def jacobian(self, y):
         jac = np.zeros((y.shape[0], self.size, self.d))

@@ -16,10 +16,9 @@ holds per row, with explicit sums and no matrix products, so a fit forecast
 alone is the one-row case of a batch and equals its row there bit for bit.
 A single fit's forecast is that one-row case, and on a (1, d) array its time
 is nearly all numpy's per-call cost.  So the field of one fit carries a twin
-on Python floats, with the same products and left-to-right sums, which RK4
-and the rate read-off run on, bit for bit.  A power basis' twin still calls
-numpy's ``power``: Python's ``**`` (libm's ``pow``) differs from it in the
-last bit for some arguments.
+on Python floats, with the same left-to-right sums over the monomials of its
+basis' one-state form (``NonlinearBasis.row``), which RK4 and the rate
+read-off run on, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,9 +40,7 @@ from .core import (
     GREY_FORM,
     ModelSpec,
     ParameterSet,
-    PolynomialUnivariate,
     PowerUnivariate,
-    QuadraticMultivariate,
     _readonly,
     reduced_to_grey,
 )
@@ -281,34 +278,10 @@ def grey_rhs(spec: ModelSpec, params) -> VectorField:
     return field
 
 
-def _row_monomials(basis):
-    """N from a state's d floats to its p floats, by the products that
-    ``basis.evaluate`` makes; a basis not named here runs its own
-    ``evaluate`` on a one-row array."""
-    if isinstance(basis, PowerUnivariate):
-        power = basis.row_power()
-        return lambda y: [power(y[0])]
-    if isinstance(basis, QuadraticMultivariate):
-        pairs = basis.pairs
-        return lambda y: [y[i] * y[j] for i, j in pairs]
-    if isinstance(basis, PolynomialUnivariate):
-        def powers(y):
-            v = y[0]
-            power = v * v
-            out = [power]
-            for _ in range(3, basis.max_degree + 1):
-                power = power * v
-                out.append(power)
-            return out
-
-        return powers
-    return lambda y: basis.evaluate(np.array([y])).tolist()[0]
-
-
 def _row_field(coef: List[List[float]], beta: List[float], basis):
     """The one-row twin of ``grey_rhs``: output j is
     coef[j][0] z_0 + coef[j][1] z_1 + ... + beta[j], added left to right."""
-    monomials = None if basis is None else _row_monomials(basis)
+    monomials = None if basis is None else basis.row
     if len(beta) == 1 and len(coef[0]) == 2:    # IGVM, INGM, INGBM: one sum, unrolled
         (c0, c1), (b,) = coef[0], beta
         return lambda t, y: [c0 * y[0] + c1 * monomials(y)[0] + b]
@@ -390,8 +363,11 @@ def extend_times(times: np.ndarray, horizon: int,
         return times.copy()
     if future_times is None:
         mean_h = (times[-1] - times[0]) / (times.size - 1)
-        with np.errstate(over="ignore"):
-            future_times = times[-1] + mean_h * np.arange(1, horizon + 1)
+        try:
+            with np.errstate(over="ignore"):
+                future_times = times[-1] + mean_h * np.arange(1, horizon + 1)
+        except (MemoryError, ValueError):    # numpy refuses a size past its limit by ValueError
+            raise ConfigError(f"{horizon} future stamps do not fit in memory") from None
     future = np.asarray(future_times, dtype=float)
     if future.size != horizon:
         raise ConfigError(f"expected {horizon} future stamps, got {future.size}")

@@ -129,7 +129,7 @@ class ScenarioConfig:
     def times(self) -> np.ndarray:
         try:
             return np.arange(self.n_samples) * self.h
-        except MemoryError:
+        except (MemoryError, ValueError):    # numpy refuses a size past its limit by ValueError
             raise ConfigError(f"{self.n_samples} samples do not fit in memory") from None
 
 

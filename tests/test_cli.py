@@ -1,6 +1,10 @@
 import copy
 import functools
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -52,6 +56,18 @@ def two_species_states():
                          [5.0, 3.0], form=REDUCED_FORM)
     times = np.arange(0.0, 0.6 + 1e-9, 0.1)
     return times, solve_reduced(lotka_volterra_spec(), truth, times).states[:, :2]
+
+
+def run_capped(*argv, address_space=2 * 10 ** 9, seconds=60):
+    """The command line in a fresh interpreter held to ``address_space`` bytes of
+    memory and ``seconds`` of time, so a command that would fill memory fails fast."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-m", "greymatch.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=seconds,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space,) * 2))
 
 
 @pytest.fixture()
@@ -405,6 +421,35 @@ class TestForecastCommand:
                      "--out-dir", str(tmp_path / "fc")]) == 6
         assert "rescale the time axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon", ["100000000000000000",
+                                         "1000000000000000000000000000000"])
+    def test_horizon_past_memory_exit_6(self, sewage_csv, tmp_path, capsys, horizon):
+        # 0.8 EB of stamps, and a count past numpy's size limit: neither is allocated
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", sewage_csv, "--model", "igvm", "--out-dir", str(fit_dir)]) == 0
+        assert main(["forecast", str(fit_dir / "fit.json"), "--horizon", horizon,
+                     "--out-dir", str(tmp_path / "fc")]) == 6
+        assert f"{horizon} future stamps do not fit in memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension, named", [
+        (10 ** 9, "'theta_L' must have shape (1000000000, 1000000000) under the spec"),
+        (1, "basis dimension 1000000000 != spec dimension 1"),
+    ], ids=["huge_dimension", "basis_of_another_dimension"])
+    def test_huge_quadratic_basis_exit_2(self, sewage_csv, tmp_path, dimension, named):
+        # the document's sizes are checked before a basis of a billion states
+        # lists its pairs; a fresh interpreter under a memory cap runs it
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", sewage_csv, "--model", "igvm", "--out-dir", str(fit_dir)]) == 0
+        doc = json.loads((fit_dir / "fit.json").read_text())
+        doc["spec"].update(basis={"kind": "quadratic", "d": 10 ** 9}, dimension=dimension)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        done = run_capped("forecast", str(path), "--horizon", "3",
+                          "--out-dir", str(tmp_path / "fc"))
+        assert done.returncode == 2, done.stderr
+        assert f"malformed fit document: {named}" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_malformed_fit_json(self, tmp_path):
         path = tmp_path / "fit.json"
         path.write_text("{not json")
@@ -575,6 +620,11 @@ class TestMalformedInput:
         ("mc", dict(SCENARIO, n=1e308), 6, "n overflows the sample count"),
         ("mc", dict(SCENARIO, T=1e308), 6, "T / h overflows the sample count"),
         ("mc", dict(SCENARIO, T=1e12, h=0.001), 6, "samples do not fit in memory"),
+        # past numpy's size limit, which it refuses by ValueError, not MemoryError
+        ("mc", dict(SCENARIO, n=2e18), 6, "2000000000000000000 samples do not fit in memory"),
+        ("mc", {"model": "verhulst", "T": 4.0, "h": 0.04, "noise_level": 0.1, "replications": 3,
+                "seed": 1, "truth": {"a": 1.2, "b": 3.0, "eta": 2.0}}, 6,
+         "the true model blows up on the requested grid"),
         ("mc", dict(SCENARIO, T=True), 6, "key 'T' must be a number"),
         # finite, but the noise of a series whose variance exceeds 1.8 overflows
         ("mc", dict(SCENARIO, noise_level=1e308, truth={"a": 1.2, "b": -0.01, "eta": 4.0}), 6,
@@ -601,9 +651,9 @@ class TestMalformedInput:
             "replications_fraction", "seed_fraction", "n_fraction", "replications_bool",
             "seed_bool", "T_nan", "T_nan_string", "h_inf", "noise_level_nan",
             "noise_level_inf_string", "truth_nan", "n_overflows", "T_overflows",
-            "samples_beyond_memory", "T_bool", "noise_overflows", "lv_noise_overflows",
-            "max_degree_fraction", "dimension_fraction", "include_constant_string",
-            "method_tag_unknown", "gamma_nan"])
+            "samples_beyond_memory", "samples_beyond_array_size", "truth_blows_up", "T_bool",
+            "noise_overflows", "lv_noise_overflows", "max_degree_fraction", "dimension_fraction",
+            "include_constant_string", "method_tag_unknown", "gamma_nan"])
     def test_json_of_the_wrong_shape(self, tmp_path, capsys, command, doc, code, named):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))

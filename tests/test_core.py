@@ -70,12 +70,17 @@ class TestBases:
         assert abs(got[0] - expected) < 1e-9 * expected
 
     def test_power_domain_error(self):
-        with pytest.raises(DomainError):
-            evaluate_basis(PowerUnivariate(0.5), [-1.0])
-        with pytest.raises(DomainError):
-            evaluate_basis(PowerUnivariate(0.5), [0.0])
+        # the batch and the one-state form refuse a state with one message
+        for y in (-1.0, 0.0):
+            text = rf"^power basis with gamma=0.5 requires a positive argument, got {y}$"
+            with pytest.raises(DomainError, match=text):
+                evaluate_basis(PowerUnivariate(0.5), [y])
+            with pytest.raises(DomainError, match=text):
+                PowerUnivariate(0.5).row([y])
         # integer exponents accept any sign
         assert np.allclose(evaluate_basis(PowerUnivariate(2.0), [-3.0]), [9.0])
+        assert PowerUnivariate(2.0).row([-3.0]) == [9.0]
+        assert PowerUnivariate(-1.0).row([-2.0]) == [-0.5]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_quadratic_size_and_order(self, d):
@@ -88,6 +93,15 @@ class TestBases:
 
     def test_empty_basis(self):
         assert evaluate_basis(None, [1.0]).size == 0
+
+    def test_state_is_checked(self):
+        with pytest.raises(ValueError, match=r"^state has shape \(3,\), basis expects 2 values$"):
+            evaluate_basis(QuadraticMultivariate(2), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"^state has shape \(2, 1\), basis expects 2"):
+            evaluate_basis(QuadraticMultivariate(2), [[1.0], [2.0]])
+        for state in ([np.nan], [[2.0], [np.inf]]):
+            with pytest.raises(ValueError, match="^state must be finite$"):
+                evaluate_basis(PolynomialUnivariate(3), state)
 
     @pytest.mark.parametrize("basis,point", [
         (PolynomialUnivariate(4), [0.7]),
@@ -121,6 +135,8 @@ class TestBases:
         for i in range(y.shape[0]):
             assert np.array_equal(values[i], basis.evaluate(y[i:i + 1])[0])
             assert np.array_equal(values[i], evaluate_basis(basis, y[i]))
+            # the one-state form on floats gives the same bits
+            assert np.array(basis.row(y[i].tolist())).tobytes() == values[i].tobytes()
         if isinstance(basis, PowerUnivariate):    # the power basis has no Jacobian
             return
         jac = basis.jacobian(y)
@@ -159,6 +175,9 @@ class TestBases:
         with pytest.raises(DomainError, match=r"^power basis with gamma=0.5 requires a "
                                               r"positive argument, got -2.0$"):
             PowerUnivariate(gammas).evaluate(-np.abs(y))
+        with pytest.raises(DomainError, match=r"^power basis with gamma=0.63 requires a "
+                                              r"positive argument, got -1001.65$"):
+            PowerUnivariate(0.63).row([-1001.65])
 
     def test_power_domain_checked_before_the_power(self):
         # the row that would overflow does not hide the row outside the domain

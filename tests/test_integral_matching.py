@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -332,24 +334,35 @@ def count_power_fits(monkeypatch):
     return calls
 
 
-def serial_search(ts, family, lo, hi, step, split):
+def serial_search(ts, family, lo, hi, step, split=None, outcomes=None):
     """Reference exponent search: fit, forecast and score one candidate at a time.
 
-    Returns the winning exponent, its fit and its own ``forecast_fit``.
+    Scores by MAPE over the whole series with a split, by in-sample RMSE
+    without one.  Returns the winning exponent, its fit and its own
+    ``forecast_fit``, or None when no candidate scores.  ``outcomes`` gets
+    each candidate's: the error class its fit or forecast raised, or "scored".
     """
-    train, test = train_test_split(ts, split)
+    if split is None:
+        train, horizon, future, score_of = ts, 0, None, integral_matching.rmse
+    else:
+        train, test = train_test_split(ts, split)
+        horizon, future, score_of = test.n, test.times, integral_matching.mape
     best = None
     for i in range(int(round((hi - lo) / step)) + 1):
         gamma = lo + i * step
         try:
             fit = fit_matching_power(train, power_family_spec(family, gamma))
-            forecast = forecast_fit(fit, test.n, future_times=test.times)
-        except GreyModelError:    # a blown-up forecast raises BlowUpError
+            forecast = forecast_fit(fit, horizon, future_times=future)
+        except GreyModelError as exc:    # a blown-up forecast raises BlowUpError
+            if outcomes is not None:
+                outcomes.append(type(exc).__name__)
             continue
-        score = integral_matching.mape(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
+        if outcomes is not None:
+            outcomes.append("scored")
+        score = score_of(forecast.fitted_and_forecast[:, 0], ts.values[:, 0])
         if np.isfinite(score) and (best is None or score < best[0]):
             best = (score, gamma, fit, forecast)
-    return best[1:]
+    return None if best is None else best[1:]
 
 
 def assert_same_fit(a, b):
@@ -405,6 +418,34 @@ class TestGammaSearch:
         assert gamma == ref_gamma
         assert_same_fit(fit, ref_fit)
         assert_same_forecast(forecast, ref_forecast)
+
+    @pytest.mark.parametrize("search_range, step, winner, outcomes", [
+        # 52.5 and 53.5 leave the domain in the batched forecast
+        ((52.0, 54.0), 0.5, 52.0, {"scored": 3, "DomainError": 2}),
+        # designs that overflow are refused before the forecast, others leave the domain
+        ((0.0, 100.0), 0.5, 0.5, {"scored": 150, "DomainError": 46, "ConfigError": 5}),
+    ], ids=["domain_exits", "every_kind_of_skip"])
+    def test_skipped_candidates_match_serial_reference(self, search_range, step, winner,
+                                                       outcomes):
+        ts = sewage_discharge()
+        gamma, fit, forecast = gamma_line_search(ts, "ingbm", search_range, step)
+        seen = []
+        ref_gamma, ref_fit, ref_forecast = serial_search(ts, "ingbm", *search_range, step,
+                                                         outcomes=seen)
+        assert collections.Counter(seen) == outcomes
+        assert gamma == ref_gamma == winner
+        assert_same_fit(fit, ref_fit)
+        assert_same_forecast(forecast, ref_forecast)
+
+    def test_every_candidate_failing_is_an_error(self):
+        # every design overflows, so no candidate is fitted
+        ts = sewage_discharge()
+        seen = []
+        assert serial_search(ts, "ingbm", 98.0, 110.0, 2.0, outcomes=seen) is None
+        assert seen == ["ConfigError"] * 7
+        with pytest.raises(GreyModelError, match="^every exponent candidate failed to fit "
+                                                 "or forecast$"):
+            gamma_line_search(ts, "ingbm", (98.0, 110.0), 2.0)
 
     def test_ties_go_to_the_smaller_exponent(self, monkeypatch):
         monkeypatch.setattr(integral_matching, "mape", lambda fitted, actual: 1.0)

@@ -79,6 +79,18 @@ class TestRK4:
             with pytest.raises(ConfigError, match="rescale the time axis"):
                 default_substeps([0.0, spacing])
 
+    def test_substeps_and_initial_are_checked(self):
+        with pytest.raises(ValueError, match="substeps must be >= 1"):
+            rk4_integrate(lambda t, y: y, [1.0], np.arange(3.0), substeps=0)
+        with pytest.raises(ValueError, match=r"initial must be one state \(m,\) or a batch"):
+            rk4_integrate(lambda t, y: y, np.ones((2, 2, 1)), np.arange(3.0))
+
+    @pytest.mark.parametrize("horizon", [10 ** 17, 10 ** 30])
+    def test_horizon_past_memory_is_a_config_error(self, horizon):
+        # 0.8 EB of stamps, and a count past numpy's size limit: neither is allocated
+        with pytest.raises(ConfigError, match=f"^{horizon} future stamps do not fit in memory$"):
+            extend_times(np.arange(1.0, 16.0), horizon)
+
     def test_omitted_substeps_take_the_default_policy(self):
         # unit spacing: the policy takes 32 substeps per interval, not 1
         times = np.arange(5.0)
